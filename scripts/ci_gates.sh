@@ -10,8 +10,10 @@
 #                            (needs >= 4 usable cores; the nightly tier
 #                            and `make check` set it, 2-core PR runners
 #                            do not)
-#   COMPILED_DIFF_SAMPLES=N  widen the compiled-vs-interpreted mutant
-#                            corpus sample (default 8; nightly uses more)
+#   COMPILED_DIFF_SAMPLES=N  widen the mutant sample of the compiled
+#                            dispatch shadow check, which re-derives every
+#                            compiled verdict with the interpreted scan
+#                            (default 8; nightly uses more)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -39,6 +41,9 @@ fi
 
 echo "==> golden-trace replay gate (byte-identical record/replay)"
 python -m repro replay --diff tests/fixtures/traces/*.trace.jsonl
+
+echo "==> end-to-end benchmark self-tests (traced targets, one core.guard per command)"
+python -m pytest -q perfbench/tests
 
 echo "==> benchmark gates (throughput, latency, observability, cold guard path, serve)"
 python -m pytest -q \

@@ -71,15 +71,12 @@ class LatencyReport:
         return canonical_bytes(self.as_dict())
 
 
-def _run_once(
-    monitored: bool, use_es: bool, bypass_gui: bool = False, compiled: bool = True
-) -> LatencyReport:
+def _run_once(monitored: bool, use_es: bool, bypass_gui: bool = False) -> LatencyReport:
     deck = build_hein_deck()
     clock = VirtualClock()
     if monitored:
         options = RabitOptions.modified(
-            use_extended_simulator=use_es, bypass_gui=bypass_gui,
-            compiled_dispatch=compiled,
+            use_extended_simulator=use_es, bypass_gui=bypass_gui
         )
         rabit, proxies, trace = make_hein_rabit(
             deck, options=options, use_extended_simulator=use_es, clock=clock
@@ -105,24 +102,19 @@ def _run_once(
     )
 
 
-def measure_workflow_latency(compiled: bool = True) -> Dict[str, LatencyReport]:
+def measure_workflow_latency() -> Dict[str, LatencyReport]:
     """Run the experiment in all four configurations.
 
     Returns reports keyed by configuration: ``unmonitored``, ``rabit``
     (the 1.5 % row), ``rabit+es`` (the 112 % row), and
     ``rabit+es-headless`` (the paper's planned GUI-bypass deployment).
-    ``compiled=False`` routes the monitored runs through the interpreted
-    full-rulebase scan instead of the compiled decision lists; the
-    virtual-clock figures are identical either way (dispatch affects
-    host CPU time, never charged virtual time), which the differential
-    suite pins.
     """
     return {
         report.configuration: report
         for report in (
             _run_once(monitored=False, use_es=False),
-            _run_once(monitored=True, use_es=False, compiled=compiled),
-            _run_once(monitored=True, use_es=True, compiled=compiled),
-            _run_once(monitored=True, use_es=True, bypass_gui=True, compiled=compiled),
+            _run_once(monitored=True, use_es=False),
+            _run_once(monitored=True, use_es=True),
+            _run_once(monitored=True, use_es=True, bypass_gui=True),
         )
     }

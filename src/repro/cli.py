@@ -212,7 +212,7 @@ def _cmd_latency(args: argparse.Namespace) -> int:
     from repro.analysis.latency import measure_workflow_latency
     from repro.analysis.report import format_table
 
-    reports = measure_workflow_latency(compiled=args.compiled)
+    reports = measure_workflow_latency()
     rows = [
         [
             name,
@@ -223,11 +223,10 @@ def _cmd_latency(args: argparse.Namespace) -> int:
         ]
         for name, report in reports.items()
     ]
-    dispatch = "compiled" if args.compiled else "interpreted"
     print(format_table(
         ["configuration", "commands", "baseline", "overhead/cmd", "overhead %"],
         rows,
-        title=f"§II-C latency overhead (virtual clock, {dispatch} dispatch)",
+        title="§II-C latency overhead (virtual clock)",
     ))
     return 0
 
@@ -338,14 +337,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
             f"{summary['rule_cache_hits']:.0f}/{summary['rule_cache_misses']:.0f} "
             f"({100.0 * summary['rule_cache_hit_rate']:.1f} %)",
         ],
-        [
-            "trajectory checks",
-            ", ".join(
-                f"{path}: {count:.0f}"
-                for path, count in sorted(summary["trajectory_checks"].items())
-            )
-            or "0",
-        ],
+        ["trajectory checks", f"{summary['trajectory_checks']:.0f}"],
         ["collision segments swept", f"{summary['collision_segments_swept']:.0f}"],
         ["geometry pair checks", f"{summary['geometry_pair_checks']:.0f}"],
         ["device commands executed", f"{summary['device_commands']:.0f}"],
@@ -763,15 +755,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_montecarlo)
 
     p = sub.add_parser("latency", help="run the latency-overhead experiment")
-    dispatch = p.add_mutually_exclusive_group()
-    dispatch.add_argument(
-        "--compiled", dest="compiled", action="store_true", default=True,
-        help="use compiled rulebase dispatch (default)",
-    )
-    dispatch.add_argument(
-        "--interpreted", dest="compiled", action="store_false",
-        help="use the interpreted full-rulebase scan (reference path)",
-    )
     p.set_defaults(fn=_cmd_latency)
 
     p = sub.add_parser("calibration", help="run the frame-calibration experiment")

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from inspect import isawaitable
 from typing import Any, Callable, Dict, List, Optional, Protocol
 
 from repro.core.actions import ActionCall, ActionLabel, TransitionTable
@@ -114,13 +115,6 @@ class RabitOptions:
     #: pays the full rulebase scan — the reference behaviour the cache's
     #: property tests compare against).
     rule_cache_size: int = 256
-    #: Consult the compiled per-(device-type, action-label) dispatch
-    #: tables (``RuleBase.compiled()``) and the incremental state
-    #: fingerprint token on the cold path; ``False`` selects the
-    #: interpreted full-scan reference path with the exact content-tuple
-    #: cache key.  Verdicts are pinned identical across both settings by
-    #: the compiled-vs-interpreted differential suite.
-    compiled_dispatch: bool = True
 
     @classmethod
     def initial(cls, **overrides: Any) -> "RabitOptions":
@@ -198,52 +192,22 @@ class Rabit:
         ``preemptive_stop`` is set; otherwise records the alert and, for
         precondition/trajectory alerts, still skips the unsafe command.
 
-        With observability enabled the round-trip is wrapped in a
-        ``rabit.guard`` span (validate / execute / fetch_state children)
-        and its real CPU cost lands in ``rabit_guard_wall_seconds``;
-        disabled, the guard runs the bare Fig. 2 algorithm.
+        Runs :meth:`_guard_pipeline` to completion in one step: with a
+        synchronous *execute* and the attached trajectory checker no
+        stage ever awaits, so the coroutine finishes on its first
+        ``send``.  A pipeline that suspends (an *execute* returning an
+        awaitable that really waits) is a caller bug and fails loudly.
         """
-        if not OBS.enabled:
-            return self._guard_impl(call, execute)
-        started = time.perf_counter()
-        with OBS.span(
-            "rabit.guard", label=call.label.value, device=call.device
-        ) as span:
-            try:
-                result = self._guard_impl(call, execute)
-            except SafetyViolation as violation:
-                span.set(outcome="stopped", alert=str(violation.alert))
-                raise
-            finally:
-                _OBS_GUARD_SECONDS.observe(time.perf_counter() - started)
-            span.set(outcome="completed")
-            return result
-
-    def _guard_impl(self, call: ActionCall, execute: Callable[[], Any]) -> Any:
-        """The Fig. 2 lines 4-16 algorithm (shared by both guard paths)."""
-        reason = self._guard_prelude(call)
-        if reason is not None:
-            return self._precondition_alert(call, reason)
-
-        # Lines 8-10: trajectory validation for robot commands.
-        if self._wants_trajectory(call):
-            problem = self.trajectory_checker.validate_trajectory(
-                call,
-                self.state,
-                self.model,
-                account_held_objects=self.options.account_held_objects,
-            )
-            if problem is not None:
-                return self._trajectory_alert(call, problem)
-
-        previous_state, expected = self._guard_expected(call)
-
-        # Line 12: execute the (now believed-safe) command.
-        with OBS.span("rabit.execute", device=call.device):
-            result = execute()
-
-        self._guard_postlude(call, expected, previous_state)
-        return result
+        pipeline = self._guard_pipeline(call, execute, None)
+        try:
+            pipeline.send(None)
+        except StopIteration as done:
+            return done.value
+        pipeline.close()
+        raise RuntimeError(
+            f"Rabit.guard: {call.describe()} suspended mid-guard; "
+            "awaitable commands must go through guard_async"
+        )
 
     async def guard_async(
         self,
@@ -256,63 +220,72 @@ class Rabit:
         *execute* is an async callable (device I/O the event loop can
         overlap across sessions); *trajectory*, when given, replaces the
         synchronous trajectory checker with an awaitable so the serve
-        layer can route sweeps through the cross-session batcher.  The
-        stages, their order, the clock charges, and the alert
-        construction are shared with :meth:`guard` — the serve
-        differential suite pins the two paths verdict-byte-identical.
+        layer can route sweeps through the cross-session batcher.  Both
+        entry points run the same :meth:`_guard_pipeline`, so stages,
+        order, clock charges, and alerts cannot drift apart.
 
         Spans are safe here: the runtime keeps its open-span stack in a
         ``contextvars`` variable, so concurrent sessions awaiting inside
         ``rabit.execute`` nest their spans per-task.
         """
-        if not OBS.enabled:
-            return await self._guard_async_impl(call, execute, trajectory)
-        started = time.perf_counter()
-        with OBS.span(
-            "rabit.guard", label=call.label.value, device=call.device
-        ) as span:
-            try:
-                result = await self._guard_async_impl(call, execute, trajectory)
-            except SafetyViolation as violation:
-                span.set(outcome="stopped", alert=str(violation.alert))
-                raise
-            finally:
-                _OBS_GUARD_SECONDS.observe(time.perf_counter() - started)
-            span.set(outcome="completed")
-            return result
+        return await self._guard_pipeline(call, execute, trajectory)
 
-    async def _guard_async_impl(
+    async def _guard_pipeline(
         self,
         call: ActionCall,
         execute: Callable[[], Any],
         trajectory: Optional[Callable[[ActionCall], Any]],
     ) -> Any:
-        reason = self._guard_prelude(call)
-        if reason is not None:
-            return self._precondition_alert(call, reason)
+        """The Fig. 2 lines 4-16 algorithm, the one body behind both guards.
 
-        if self._wants_trajectory(call):
-            if trajectory is not None:
-                problem = await trajectory(call)
-            else:
-                problem = self.trajectory_checker.validate_trajectory(
-                    call,
-                    self.state,
-                    self.model,
-                    account_held_objects=self.options.account_held_objects,
-                )
-            if problem is not None:
-                return self._trajectory_alert(call, problem)
+        With observability enabled the round-trip is wrapped in a
+        ``rabit.guard`` span (validate / execute / fetch_state children)
+        and its real CPU cost lands in ``rabit_guard_wall_seconds``.
+        """
+        started = time.perf_counter() if OBS.enabled else None
+        with OBS.span(
+            "rabit.guard", label=call.label.value, device=call.device
+        ) as span:
+            try:
+                result = None
+                # Lines 4-7: clock charges and precondition validation.
+                reason = self._guard_prelude(call)
+                # Lines 8-10: trajectory validation for robot commands.
+                problem = None
+                if reason is None and self._wants_trajectory(call):
+                    if trajectory is not None:
+                        problem = await trajectory(call)
+                    else:
+                        problem = self.trajectory_checker.validate_trajectory(
+                            call,
+                            self.state,
+                            self.model,
+                            account_held_objects=self.options.account_held_objects,
+                        )
+                if reason is not None:
+                    self._precondition_alert(call, reason)
+                elif problem is not None:
+                    self._trajectory_alert(call, problem)
+                else:
+                    previous_state, expected = self._guard_expected(call)
+                    # Line 12: execute the (now believed-safe) command.
+                    with OBS.span("rabit.execute", device=call.device):
+                        result = execute()
+                        if isawaitable(result):
+                            result = await result
+                    self._guard_postlude(call, expected, previous_state)
+            except SafetyViolation as violation:
+                if span is not None:
+                    span.set(outcome="stopped", alert=str(violation.alert))
+                raise
+            finally:
+                if started is not None:
+                    _OBS_GUARD_SECONDS.observe(time.perf_counter() - started)
+            if span is not None:
+                span.set(outcome="completed")
+            return result
 
-        previous_state, expected = self._guard_expected(call)
-
-        with OBS.span("rabit.execute", device=call.device):
-            result = await execute()
-
-        self._guard_postlude(call, expected, previous_state)
-        return result
-
-    # -- Fig. 2 stages (shared between the sync and async guards) ------
+    # -- Fig. 2 stages ----------------------------------------------------
 
     def _guard_prelude(self, call: ActionCall) -> Optional[tuple]:
         """Lines 4-7: clock charges and precondition validation.
@@ -426,34 +399,27 @@ class Rabit:
         """First violated rule as ``(rule_id, message)``, memoized.
 
         The cache key covers everything the rulebase scan reads — the call,
-        the full state contents, the rulebase revision, and the model's
-        mutable beliefs — so repeated safe commands against unchanged state
-        skip the scan entirely while any state transition, added rule, or
-        model mutation forces a fresh evaluation.
-
-        With ``compiled_dispatch`` set (the default) the *cold* path is
-        cheap too: the scan runs against the rulebase's compiled
-        per-label decision lists (recompiled whenever the rulebase
-        revision moves) and the state contribution to the cache key is
-        the O(1) incremental token instead of the full content-tuple
-        rebuild.  Both substitutions are verdict-preserving; the
-        interpreted scan plus exact tuple key remains selectable as the
-        reference path.
+        the state's incremental content token, the rulebase revision, and
+        the model's mutable beliefs — so repeated safe commands against
+        unchanged state skip the scan entirely while any state transition,
+        added rule, or model mutation forces a fresh evaluation.  A cold
+        verdict walks the rulebase's compiled per-label decision lists
+        (recompiled whenever the rulebase revision moves); the
+        differential suite shadow-checks every one against the
+        interpreted :meth:`RuleBase.check_action` scan.
         """
-        compiled = self.options.compiled_dispatch
-        dispatch = "compiled" if compiled else "interpreted"
         key = None
         if self.rule_cache is not None:
             key = (
                 call,
-                self.state.fingerprint_token() if compiled else self.state.fingerprint(),
+                self.state.fingerprint_token(),
                 self.rulebase.revision,
                 self.model.belief_fingerprint(),
             )
             cached = self.rule_cache.lookup(key)
             if cached is not MISS:
                 if TRACE.active:
-                    TRACE.stage_rule("hit", cached[0] if cached else None, dispatch)
+                    TRACE.stage_rule("hit", cached[0] if cached else None)
                 return cached
         ctx = CheckContext(
             state=self.state,
@@ -463,8 +429,7 @@ class Rabit:
             enforce_workspace_bounds=self.options.enforce_workspace_bounds,
             enforce_capacity=self.options.enforce_capacity,
         )
-        engine = self.rulebase.compiled() if compiled else self.rulebase
-        hit = engine.check_action(ctx)
+        hit = self.rulebase.compiled().check_action(ctx)
         verdict = None
         if hit is not None:
             rule, message = hit
@@ -475,7 +440,6 @@ class Rabit:
             TRACE.stage_rule(
                 "miss" if self.rule_cache is not None else "disabled",
                 verdict[0] if verdict else None,
-                dispatch,
             )
         return verdict
 

@@ -11,14 +11,14 @@ dosing — and the scan is pure: a verdict is a deterministic function of
 
 - the frozen :class:`~repro.core.actions.ActionCall` itself (label,
   device, target, quantity, ... — everything a rule can read off it),
-- the :meth:`LabState.fingerprint` content digest (any state transition
-  produces a different digest, so a stale verdict can never be served),
+- the :meth:`LabState.fingerprint_token` content token (any state
+  transition changes it, so a stale verdict is never served short of a
+  ~2^-64 hash collision),
 - the rulebase revision (rules added at run time invalidate everything),
 - the model belief fingerprint (time multiplexing swapping obstacle
   cuboids, space multiplexing appending walls, workspace-bound edits).
 
-The digest is the actual content tuple rather than a lossy hash, so two
-different states can never share a key.  Extra preconditions registered on
+Extra preconditions registered on
 the model (the multiplexing hook) are *not* cached by the monitor — they
 may consult ambient context such as the virtual clock — only the pure
 rulebase scan is.

@@ -73,8 +73,6 @@ class LabState:
 
     def __init__(self) -> None:
         self._vars: Dict[str, Dict[str, Any]] = {var: {} for var in ALL_VARS}
-        #: Lazily computed content fingerprint; ``None`` means stale.
-        self._fingerprint: Optional[Tuple] = None
         #: Incrementally maintained content token (see
         #: :meth:`fingerprint_token`): the XOR of ``hash((var, key,
         #: value))`` over every populated entry, updated in O(1) on each
@@ -105,7 +103,6 @@ class LabState:
             self._fp_token ^= hash((var, key, old))
         entries[key] = value
         self._fp_token ^= hash((var, key, value))
-        self._fingerprint = None
 
     def entries(self, var: str) -> Dict[str, Any]:
         """All ``key -> value`` entries of one variable."""
@@ -134,7 +131,6 @@ class LabState:
         dup = LabState()
         for var, entries in self._vars.items():
             dup._vars[var] = dict(entries)
-        dup._fingerprint = self._fingerprint
         dup._fp_token = self._fp_token
         return dup
 
@@ -176,38 +172,17 @@ class LabState:
 
     # -- fingerprinting -----------------------------------------------------
 
-    def fingerprint(self) -> Tuple:
-        """A stable, hashable digest of the full state contents.
-
-        Two snapshots with equal contents produce equal fingerprints, and
-        any mutation through :meth:`set` / :meth:`merge_observed`
-        invalidates the cached value.  The rule-verdict cache keys on this
-        (plus the action call), so a verdict computed under one state can
-        never be served under a different one — the digest is the actual
-        content tuple, not a lossy hash, so collisions are impossible.
-        """
-        if self._fingerprint is None:
-            self._fingerprint = tuple(
-                (var, tuple(sorted(self._vars[var].items())))
-                for var in sorted(self._vars)
-                if self._vars[var]
-            )
-        return self._fingerprint
-
     def fingerprint_token(self) -> int:
-        """The incremental content token — the compiled-dispatch cache key.
+        """The incremental content token — the rule-verdict cache key.
 
         The XOR of ``hash((var, key, value))`` over every stored entry,
         maintained entry-by-entry on mutation: content-equal snapshots
         produce equal tokens regardless of mutation history (XOR is
         commutative and self-inverse), and reading it costs one
-        attribute access instead of the O(state) sorted-tuple rebuild
-        :meth:`fingerprint` pays after every mutation.  Unlike the exact
-        content tuple this is a lossy 64-bit digest — two *different*
-        states colliding is possible in principle (~2^-64 per pair) —
-        which is why the interpreted reference path keeps the exact
-        tuple and the differential suite pins both paths to identical
-        verdicts.
+        attribute access instead of an O(state) sorted-tuple rebuild.
+        It is a lossy 64-bit digest — two *different* states colliding is
+        possible in principle (~2^-64 per pair); the cache-parity
+        property tests pin cached verdicts to uncached ones.
         """
         return self._fp_token
 

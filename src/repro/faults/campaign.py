@@ -522,15 +522,11 @@ def run_bug(
     bug: InjectedBug,
     config: str,
     exclude_rules: Tuple[str, ...] = (),
-    compiled_dispatch: bool = True,
 ) -> BugOutcome:
     """Run one bug under one named configuration on a fresh testbed.
 
     ``exclude_rules`` supports the rule-knockout ablation: dropping the
-    rule that carries a detection should turn it into a miss.
-    ``compiled_dispatch=False`` runs the interpreted reference scan
-    instead of the compiled decision lists (the differential suite pins
-    both to identical outcomes)."""
+    rule that carries a detection should turn it into a miss."""
     try:
         options_factory, use_es = RABIT_CONFIGS[config]
     except KeyError:
@@ -538,10 +534,6 @@ def run_bug(
 
     deck = _prepare_deck(bug.workflow)
     options = options_factory()
-    if options.compiled_dispatch != compiled_dispatch:
-        from dataclasses import replace
-
-        options = replace(options, compiled_dispatch=compiled_dispatch)
     rabit, proxies, _trace = make_testbed_rabit(
         deck,
         options=options,

@@ -215,9 +215,7 @@ def run_mutant_monitored(seed: int, index: int, options=None):
     which is what lets a failed mutant's trace be recorded after the
     fact — in the parent process, after a sharded sweep — and still be
     byte-identical to what the worker saw.  *options* overrides the
-    monitor configuration (default: modified RABIT); verdicts are pinned
-    dispatch-invariant, so passing an interpreted-dispatch variant keeps
-    the recorded trace replayable.  Returns
+    monitor configuration (default: modified RABIT).  Returns
     ``(description, WorkflowResult)``."""
     from repro.faults.mutation import apply_mutations
     from repro.lab.workflows import run_workflow as _run

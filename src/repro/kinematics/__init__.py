@@ -31,8 +31,8 @@ from repro.kinematics.profiles import (
 )
 from repro.kinematics.ik import (
     IKResult,
-    analytic_position_jacobian,
-    numeric_position_jacobian,
+    position_jacobian,
+    central_difference_jacobian,
     solve_position_ik,
     solve_position_ik_batch,
 )
@@ -51,8 +51,8 @@ __all__ = [
     "N9",
     "profile_by_name",
     "IKResult",
-    "analytic_position_jacobian",
-    "numeric_position_jacobian",
+    "position_jacobian",
+    "central_difference_jacobian",
     "solve_position_ik",
     "solve_position_ik_batch",
     "JointTrajectory",

@@ -8,16 +8,15 @@ Levenberg-Marquardt form of resolved-rate IK) is robust near singularities,
 which matters because the testbed arms are asked to reach deliberately
 awkward targets during fault injection.
 
-The Jacobian comes in two flavours:
-
-- :func:`analytic_position_jacobian` (the default) reads joint axes and
-  origins off one :meth:`~repro.kinematics.dh.DHChain.frames` pass and
-  builds the standard geometric columns — ``z_{i-1} x (p_e - p_{i-1})``
-  for a revolute joint, ``z_{i-1}`` for a prismatic one.  One FK pass per
-  iteration instead of the ``2 x dof`` passes central differences need.
-- :func:`numeric_position_jacobian` is the central-difference reference
-  the differential suite checks the analytic columns against (they agree
-  to ~1e-10; the suite gates at 1e-6).
+The solver uses :func:`position_jacobian`: it reads joint axes and
+origins off one :meth:`~repro.kinematics.dh.DHChain.frames` pass and
+builds the standard geometric columns — ``z_{i-1} x (p_e - p_{i-1})`` for
+a revolute joint, ``z_{i-1}`` for a prismatic one.  One FK pass per
+iteration instead of the ``2 x dof`` passes central differences need.
+:func:`central_difference_jacobian` is the reference the differential
+suite checks the analytic columns against (they agree to ~1e-10; the
+suite gates at 1e-6) and swaps into the solver to pin identical
+convergence verdicts.
 
 :func:`solve_position_ik_batch` solves many targets at once — the shape
 fault-injection campaigns need — by running every damped-least-squares
@@ -64,7 +63,7 @@ class IKResult:
     converged: bool
 
 
-def numeric_position_jacobian(
+def central_difference_jacobian(
     chain: DHChain, q: np.ndarray, eps: float = 1e-6
 ) -> np.ndarray:
     """Numeric 3xN position Jacobian by central differences (the reference)."""
@@ -81,7 +80,7 @@ def numeric_position_jacobian(
     return jac
 
 
-def analytic_position_jacobian(chain: DHChain, q: np.ndarray) -> np.ndarray:
+def position_jacobian(chain: DHChain, q: np.ndarray) -> np.ndarray:
     """Exact 3xN position Jacobian from one forward-kinematics pass.
 
     Standard geometric construction: for revolute joint *i* the column is
@@ -100,16 +99,12 @@ def analytic_position_jacobian(chain: DHChain, q: np.ndarray) -> np.ndarray:
     return columns.T
 
 
-# Backwards-compatible alias for the pre-vectorization private name.
-_position_jacobian = numeric_position_jacobian
-
-
 def _analytic_jacobian_from_frames(
     frames: np.ndarray, prismatic: np.ndarray
 ) -> np.ndarray:
     """Batched geometric Jacobians: ``(S, dof + 1, 4, 4)`` frames in,
     ``(S, 3, dof)`` Jacobians out — the same columns as
-    :func:`analytic_position_jacobian`, for every sample at once."""
+    :func:`position_jacobian`, for every sample at once."""
     z = frames[:, :-1, :3, 2]  # (S, dof, 3)
     p = frames[:, :-1, :3, 3]
     p_e = frames[:, -1:, :3, 3]  # (S, 1, 3)
@@ -131,7 +126,6 @@ def solve_position_ik(
     tolerance: float = 1e-4,
     max_iterations: int = 200,
     damping: float = 0.05,
-    jacobian: str = "analytic",
 ) -> IKResult:
     """Solve for joint angles placing the end effector at *target*.
 
@@ -140,21 +134,11 @@ def solve_position_ik(
     recorded best posture (and therefore ``IKResult.q``) is always
     feasible, even when the seed itself violates the limits.  Convergence
     means the Cartesian error dropped below *tolerance*.
-
-    *jacobian* selects ``"analytic"`` (default) or ``"numeric"``
-    central-difference columns; the latter exists as the differential
-    reference and produces identical convergence verdicts.
     """
     q = np.asarray(q0, dtype=np.float64).copy()
     tgt = np.asarray(target, dtype=np.float64)
     if tgt.shape != (3,):
         raise ValueError(f"target must be a 3D point, got shape {tgt.shape}")
-    if jacobian not in ("analytic", "numeric"):
-        raise ValueError(f"unknown jacobian mode {jacobian!r}")
-    jac_fn = (
-        analytic_position_jacobian if jacobian == "analytic"
-        else numeric_position_jacobian
-    )
     limits_lo = limits_hi = None
     if joint_limits is not None:
         limits_lo, limits_hi = _limit_bounds(joint_limits)
@@ -175,7 +159,7 @@ def solve_position_ik(
                 tuple(float(x) for x in q), err, iteration, converged=True
             )
 
-        jac = jac_fn(chain, q)
+        jac = position_jacobian(chain, q)
         jjt = jac @ jac.T + lam_sq * np.eye(3)
         dq = jac.T @ np.linalg.solve(jjt, error_vec)
 

@@ -207,7 +207,7 @@ class Observability:
             "rule_cache_hits": hits,
             "rule_cache_misses": misses,
             "rule_cache_hit_rate": hits / (hits + misses) if hits + misses else 0.0,
-            "trajectory_checks": _by_label(reg, "es_trajectory_checks_total"),
+            "trajectory_checks": total("es_trajectory_checks_total"),
             "collision_segments_swept": total("es_segments_swept_total"),
             "geometry_pair_checks": total("geometry_pair_checks_total"),
             "device_commands": total("device_commands_total"),

@@ -27,7 +27,9 @@ Wire operations (all request/response, one JSON object per line):
 - ``{"op": "close"}`` → close this session/connection
 
 Errors come back as ``{"ok": false, "error": "…"}``; protocol-level
-garbage closes the connection after a best-effort error frame.
+garbage closes the connection after a best-effort error frame, and so
+does a command that raised while being guarded or executed (the
+session's believed state may no longer match the device).
 """
 
 from __future__ import annotations
@@ -40,7 +42,12 @@ from repro.core.rulebase import Rule, RuleBase, build_default_rulebase
 from repro.obs import OBS
 from repro.serve.batcher import SweepBatcher
 from repro.serve.protocol import ProtocolError, encode_message, read_message
-from repro.serve.session import DECK_BUILDERS, GuardSession, default_serve_options
+from repro.serve.session import (
+    DECK_BUILDERS,
+    CommandFailed,
+    GuardSession,
+    default_serve_options,
+)
 
 __all__ = ["GuardServer", "SessionRejected", "TenantRulebases"]
 
@@ -250,6 +257,8 @@ class GuardServer:
                 )
             except KeyError as exc:
                 return {"ok": False, "error": str(exc.args[0])}, session, True
+            except CommandFailed as exc:
+                return {"ok": False, "error": str(exc)}, session, False
             self.stats["commands"] += 1
             if response.get("alert") is not None:
                 self.stats["alerts"] += 1

@@ -42,10 +42,26 @@ from repro.trace.canon import content_digest
 
 __all__ = [
     "DECK_BUILDERS",
+    "CommandFailed",
     "GuardSession",
     "build_guarded_deck",
     "default_serve_options",
 ]
+
+
+class CommandFailed(Exception):
+    """A command raised while the service guarded or executed it.
+
+    Not retryable: the same request fails the same way.  The device may
+    have half-run the call, so the session's believed state can no
+    longer be trusted; the server answers with this error and closes the
+    session's connection."""
+
+    def __init__(self, device: str, method: str, error: Exception) -> None:
+        super().__init__(
+            f"{device}.{method} failed: {type(error).__name__}: {error}; "
+            "session closed"
+        )
 
 
 def _build_hein(params: Dict[str, Any]) -> Any:
@@ -175,10 +191,20 @@ class GuardSession:
         if not callable(attr):
             raise KeyError(f"{device_name}.{method} is not callable")
 
-        call = resolve_action(device, method, tuple(args), kwargs)
+        try:
+            call = resolve_action(device, method, tuple(args), kwargs)
+        except Exception as exc:
+            # Nothing ran yet: a plain request error, the session stays.
+            raise KeyError(
+                f"{device_name}.{method}: invalid arguments "
+                f"({type(exc).__name__}: {exc})"
+            ) from exc
         if call is None:
             # Unmodeled method: pass through untraced, like DeviceProxy.
-            result = attr(*args, **kwargs)
+            try:
+                result = attr(*args, **kwargs)
+            except Exception as exc:
+                raise CommandFailed(device_name, method, exc) from exc
             return {"ok": True, "traced": False, "result": _json_safe(result)}
 
         rabit = self.rabit
@@ -226,6 +252,8 @@ class GuardSession:
             # Only reachable with preemptive_stop=True options; a service
             # session still answers with the verdict.
             alert = violation.alert
+        except Exception as exc:
+            raise CommandFailed(device_name, method, exc) from exc
 
         entry = journal_record(
             seq=len(self.journal),

@@ -19,19 +19,15 @@ All geometry comes from RABIT's *configuration* (the JSON-derived
 simulator is only as good as the researcher's cuboid entries, which is
 the paper's stated limitation about non-cuboid devices.
 
-Two sweep implementations coexist:
-
-- :meth:`ExtendedSimulator._sweep_scalar` is the reference: a per-sample
-  Python loop, verbatim the paper's description.
-- :meth:`ExtendedSimulator._sweep_batch` (the default) packs the deck's
-  cuboids into a cached :class:`~repro.geometry.batch.BatchCollisionEngine`
-  per ``(frame, excluded devices)`` and evaluates every polled sample
-  against every cuboid in one broadcasted pass.  Engines are invalidated
-  by the model's ``geometry_revision``, so time multiplexing swapping a
-  sleeping arm's cuboid in or out rebuilds them.
-
-The two produce identical verdicts and identical messages; the
-differential test suite pins that equivalence.
+The sweep packs the deck's cuboids into a cached
+:class:`~repro.geometry.batch.BatchCollisionEngine` per ``(frame,
+excluded devices)`` and evaluates every polled sample against every
+cuboid in one broadcasted pass.  Engines are invalidated by the model's
+``geometry_revision``, so time multiplexing swapping a sleeping arm's
+cuboid in or out rebuilds them.  :func:`sweep_scalar` keeps the paper's
+per-sample Python loop as a plain reference function; the differential
+test suite pins identical verdicts and messages on identical
+:class:`SweepJob` inputs.
 
 ``sweep_links=True`` additionally sweeps the **whole arm body**: the
 planned joint-space trajectory is run through the batched FK kernel
@@ -63,8 +59,7 @@ from repro.trace.recorder import TRACE
 
 _OBS_CHECKS = OBS.registry.counter(
     "es_trajectory_checks_total",
-    "Extended Simulator trajectory validations, by sweep path.",
-    labels=("path",),
+    "Extended Simulator trajectory validations.",
 )
 _OBS_VERDICTS = OBS.registry.counter(
     "es_trajectory_verdicts_total",
@@ -227,14 +222,10 @@ class ExtendedSimulator:
     def __init__(
         self,
         robots: Dict[str, RobotArmDevice],
-        use_batch: bool = True,
         sweep_links: bool = False,
     ) -> None:
         #: The real arm devices the simulator polls for current postures.
         self._robots = dict(robots)
-        #: Whether to sweep with the vectorized engine (the fast path) or
-        #: the scalar per-sample reference loop.
-        self.use_batch = use_batch
         #: Whether to additionally sweep every arm-link segment of the
         #: planned joint-space motion (batched FK; strictly additive).
         self.sweep_links = sweep_links
@@ -269,39 +260,22 @@ class ExtendedSimulator:
             # controller cannot plan this motion at all (the arm will
             # skip or raise on its own).
             return None
-        frame, exclude = job.frame, list(job.exclude)
-        robot_model, held, samples = job.robot_model, job.held, job.samples
-        robot, plan = job.robot, job.plan
-
-        sweep = self._sweep_batch if self.use_batch else self._sweep_scalar
-        if not OBS.enabled:
-            problem = sweep(call, model, frame, exclude, robot_model, held, samples)
-            if problem is None and self.sweep_links:
-                problem = self._sweep_arm_links(call, model, frame, exclude, robot, plan)
-            if TRACE.active:
-                TRACE.stage_trajectory(
-                    path="batch" if self.use_batch else "scalar",
-                    samples=len(samples),
-                    verdict=problem,
-                )
-            return problem
-
-        path = "batch" if self.use_batch else "scalar"
-        _OBS_CHECKS.inc(1, path=path)
-        _OBS_SEGMENTS.inc(float(len(samples)))
-        _OBS_SWEEP_SAMPLES.observe(float(len(samples)))
         with OBS.span(
             "es.validate_trajectory", robot=call.robot, label=call.label.value,
-            path=path, samples=len(samples),
+            samples=len(job.samples),
         ) as span:
-            problem = sweep(call, model, frame, exclude, robot_model, held, samples)
+            problem = self._sweep_batch(job)
             if problem is None and self.sweep_links:
-                problem = self._sweep_arm_links(call, model, frame, exclude, robot, plan)
-            _OBS_VERDICTS.inc(1, verdict="collision" if problem else "clear")
+                problem = self._sweep_arm_links(job)
+            if OBS.enabled:
+                _OBS_CHECKS.inc(1)
+                _OBS_SEGMENTS.inc(float(len(job.samples)))
+                _OBS_SWEEP_SAMPLES.observe(float(len(job.samples)))
+                _OBS_VERDICTS.inc(1, verdict="collision" if problem else "clear")
             if span is not None:
                 span.set(verdict=problem or "clear")
         if TRACE.active:
-            TRACE.stage_trajectory(path=path, samples=len(samples), verdict=problem)
+            TRACE.stage_trajectory(samples=len(job.samples), verdict=problem)
         return problem
 
     def prepare_sweep(
@@ -376,33 +350,23 @@ class ExtendedSimulator:
     # Batched sweep (the fast path)
     # ------------------------------------------------------------------
 
-    def _sweep_batch(
-        self,
-        call: ActionCall,
-        model: RabitLabModel,
-        frame: str,
-        exclude: List[str],
-        robot_model,
-        held: Optional[str],
-        samples: np.ndarray,
-    ) -> Optional[str]:
-        obst_engine, full_engine = self._engines_for(model, frame, exclude)
+    def _sweep_batch(self, job: SweepJob) -> Optional[str]:
+        obst_engine, full_engine = self._engines_for(job.model, job.frame, job.exclude)
 
         # One containment matrix per probe family, all samples at once.
+        samples, tips, vial_tips = job.probe_points()
         arm_hit = obst_engine.first_containing(samples)
-        tips = samples - np.array([0.0, 0.0, robot_model.gripper_clearance])
         tip_hit = full_engine.first_containing(tips)
         held_hit = None
-        if held is not None:
-            vial_tips = samples - np.array([0.0, 0.0, robot_model.held_drop])
+        if vial_tips is not None:
             held_hit = full_engine.first_containing(vial_tips)
 
         return finish_sweep(
-            call,
+            job.call,
             samples,
-            model.walls.get(frame, []),
-            model.workspace_bounds.get(frame),
-            held,
+            job.model.walls.get(job.frame, []),
+            job.model.workspace_bounds.get(job.frame),
+            job.held,
             arm_hit,
             tip_hit,
             held_hit,
@@ -410,15 +374,7 @@ class ExtendedSimulator:
             full_engine.names,
         )
 
-    def _sweep_arm_links(
-        self,
-        call: ActionCall,
-        model: RabitLabModel,
-        frame: str,
-        exclude: List[str],
-        robot: RobotArmDevice,
-        plan: TrajectoryPlan,
-    ) -> Optional[str]:
+    def _sweep_arm_links(self, job: SweepJob) -> Optional[str]:
         """Full-arm link sweep over the planned joint-space motion.
 
         Every polled posture's joint-origin polyline (one batched FK pass,
@@ -426,8 +382,10 @@ class ExtendedSimulator:
         link-radius-inflated obstacle engine.  Strictly additive: runs
         only after the tool-point probes came back clear.
         """
-        paths = plan.trajectory.link_paths_array(self.RESOLUTION)
-        engine = self._link_engine_for(model, frame, exclude, robot.profile.link_radius)
+        paths = job.plan.trajectory.link_paths_array(self.RESOLUTION)
+        engine = self._link_engine_for(
+            job.model, job.frame, job.exclude, job.robot.profile.link_radius
+        )
         if len(engine) == 0:
             return None
         hits = engine.polylines_hit_indices(paths)
@@ -436,7 +394,7 @@ class ExtendedSimulator:
             return None
         first = int(np.argmax(bad))
         return (
-            f"simulated trajectory of {call.robot!r}: arm link would "
+            f"simulated trajectory of {job.call.robot!r}: arm link would "
             f"collide with {engine.names[hits[first]]!r}"
         )
 
@@ -485,68 +443,6 @@ class ExtendedSimulator:
         return obst_engine, full_engine
 
     # ------------------------------------------------------------------
-    # Scalar sweep (the reference implementation)
-    # ------------------------------------------------------------------
-
-    def _sweep_scalar(
-        self,
-        call: ActionCall,
-        model: RabitLabModel,
-        frame: str,
-        exclude: List[str],
-        robot_model,
-        held: Optional[str],
-        samples: np.ndarray,
-    ) -> Optional[str]:
-        obstacles = model.obstacles_for_frame(frame, exclude=exclude)
-        surfaces = model.surfaces_for_frame(frame, exclude=exclude)
-        walls = model.walls.get(frame, [])
-        bounds = model.workspace_bounds.get(frame)
-
-        for ee in samples:
-            # Probe the polled tool point and gripper tip (position-only
-            # control leaves the wrist orientation free, so the arm is
-            # reduced to its tool for collision purposes — the same
-            # modeling choice as the ground-truth physics, keeping
-            # simulator and reality consistent).
-            box = self._point_hit(ee, obstacles, ())
-            if box is not None:
-                return (
-                    f"simulated trajectory of {call.robot!r}: arm would "
-                    f"collide with {box!r}"
-                )
-
-            tip = ee - np.array([0.0, 0.0, robot_model.gripper_clearance])
-            box = self._point_hit(tip, obstacles, surfaces)
-            if box is not None:
-                return (
-                    f"simulated trajectory of {call.robot!r}: gripper would "
-                    f"collide with {box!r}"
-                )
-
-            if held is not None:
-                vial_tip = ee - np.array([0.0, 0.0, robot_model.held_drop])
-                box = self._point_hit(vial_tip, obstacles, surfaces)
-                if box is not None:
-                    return (
-                        f"simulated trajectory of {call.robot!r}: held vial "
-                        f"{held!r} would collide with {box!r}"
-                    )
-
-            for wall in walls:
-                if not wall.allows(ee):
-                    return (
-                        f"simulated trajectory of {call.robot!r} crosses "
-                        f"software wall {wall.name!r}"
-                    )
-            if bounds is not None and not bounds.contains(ee):
-                return (
-                    f"simulated trajectory of {call.robot!r} leaves the "
-                    f"configured workspace"
-                )
-        return None
-
-    # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
 
@@ -569,13 +465,65 @@ class ExtendedSimulator:
             return None
         return plan
 
-    @staticmethod
-    def _point_hit(
-        point: np.ndarray,
-        obstacles: Sequence[Cuboid],
-        surfaces: Sequence[Cuboid],
-    ) -> Optional[str]:
-        for box in list(obstacles) + list(surfaces):
+
+def sweep_scalar(job: SweepJob) -> Optional[str]:
+    """The per-sample reference sweep, verbatim the paper's description.
+
+    Walks the polled samples in order and probes the tool point, gripper
+    tip, and held vial tip against each cuboid, then the frame's walls
+    and workspace bounds.  The batched sweep must return the identical
+    verdict string for every job; the collision differential pins it."""
+    call, model, frame = job.call, job.model, job.frame
+    obstacles = model.obstacles_for_frame(frame, exclude=job.exclude)
+    full = list(obstacles) + list(model.surfaces_for_frame(frame, exclude=job.exclude))
+    walls = model.walls.get(frame, [])
+    bounds = model.workspace_bounds.get(frame)
+
+    def first_hit(point: np.ndarray, boxes: Sequence[Cuboid]) -> Optional[str]:
+        for box in boxes:
             if box.contains(point):
                 return box.name
         return None
+
+    for ee in job.samples:
+        # Probe the polled tool point and gripper tip (position-only
+        # control leaves the wrist orientation free, so the arm is
+        # reduced to its tool for collision purposes — the same
+        # modeling choice as the ground-truth physics, keeping
+        # simulator and reality consistent).
+        box = first_hit(ee, obstacles)
+        if box is not None:
+            return (
+                f"simulated trajectory of {call.robot!r}: arm would "
+                f"collide with {box!r}"
+            )
+
+        tip = ee - np.array([0.0, 0.0, job.robot_model.gripper_clearance])
+        box = first_hit(tip, full)
+        if box is not None:
+            return (
+                f"simulated trajectory of {call.robot!r}: gripper would "
+                f"collide with {box!r}"
+            )
+
+        if job.held is not None:
+            vial_tip = ee - np.array([0.0, 0.0, job.robot_model.held_drop])
+            box = first_hit(vial_tip, full)
+            if box is not None:
+                return (
+                    f"simulated trajectory of {call.robot!r}: held vial "
+                    f"{job.held!r} would collide with {box!r}"
+                )
+
+        for wall in walls:
+            if not wall.allows(ee):
+                return (
+                    f"simulated trajectory of {call.robot!r} crosses "
+                    f"software wall {wall.name!r}"
+                )
+        if bounds is not None and not bounds.contains(ee):
+            return (
+                f"simulated trajectory of {call.robot!r} leaves the "
+                f"configured workspace"
+            )
+    return None

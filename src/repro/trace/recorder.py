@@ -237,15 +237,10 @@ class TraceRuntime:
 
     # -- staging (called from monitor / simulator) -------------------------
 
-    def stage_rule(
-        self, cache: str, rule_id: Optional[str], dispatch: str = "interpreted"
-    ) -> None:
+    def stage_rule(self, cache: str, rule_id: Optional[str]) -> None:
         """Record the rulebase verdict's cache disposition for the
-        in-flight command: ``"hit"``, ``"miss"``, or ``"disabled"``,
-        plus which dispatch path produced (or would produce) the verdict
-        — ``"compiled"`` decision lists or the ``"interpreted"``
-        full-rulebase scan."""
-        self._staged_rule = {"cache": cache, "rule_id": rule_id, "dispatch": dispatch}
+        in-flight command: ``"hit"``, ``"miss"``, or ``"disabled"``."""
+        self._staged_rule = {"cache": cache, "rule_id": rule_id}
 
     def stage_state(self, previous: Any, current: Any) -> None:
         """Record the state transition the in-flight command produced.
@@ -261,12 +256,11 @@ class TraceRuntime:
             "fp": content_digest(current.as_dict()),
         }
 
-    def stage_trajectory(self, path: str, samples: int, verdict: Optional[str]) -> None:
+    def stage_trajectory(self, samples: int, verdict: Optional[str]) -> None:
         """Record the Extended Simulator sweep for the in-flight robot
-        command: which sweep path ran, how many samples, and the
-        collision verdict (``None`` when clear)."""
+        command: how many samples it swept and the collision verdict
+        (``None`` when clear)."""
         self._staged_trajectory = {
-            "path": path,
             "samples": int(samples),
             "verdict": verdict,
         }
@@ -284,7 +278,6 @@ class TraceRuntime:
             "rule_id": alert.rule_id if alert is not None else None,
             "message": alert.message if alert is not None else None,
             "cache": self._staged_rule["cache"] if self._staged_rule else None,
-            "dispatch": self._staged_rule["dispatch"] if self._staged_rule else None,
         }
         staged_state = self._staged_state
         self._events.append(

@@ -18,13 +18,17 @@ Version history:
   compacted to ``[var, key, value]`` triples (the form
   ``LabState.delta_from`` emits); both changes are lossless, so a v1
   trace upgraded to v2 replays byte-identically.
-- **3** (current) — command verdicts gain the ``"dispatch"`` dimension
+- **3** — command verdicts gained the ``"dispatch"`` dimension
   (``"compiled"`` decision-list dispatch vs the ``"interpreted"``
   full-rulebase scan).  Verdicts are pinned identical across dispatch
   modes by the differential suite, so upgraded v2 traces adopt the
-  current default label (``"compiled"``) and still replay
-  byte-identically; the historical mode is not recoverable from a v2
-  file and cannot have affected any recorded verdict.
+  then-default label (``"compiled"``) and still replay byte-identically;
+  the historical mode is not recoverable from a v2 file and cannot have
+  affected any recorded verdict.
+- **4** (current) — the guard has one rule-dispatch path and one sweep
+  path, so the constant ``verdict.dispatch`` and ``trajectory.path``
+  fields are dropped.  Neither ever carried a verdict, so upgraded v3
+  traces replay byte-identically.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ __all__ = [
 ]
 
 #: The schema version this build writes.
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 class TraceSchemaError(Exception):
@@ -87,10 +91,28 @@ def _upgrade_v2(header: dict, events: List[dict]) -> Tuple[dict, List[dict]]:
     return header, upgraded
 
 
+def _upgrade_v3(header: dict, events: List[dict]) -> Tuple[dict, List[dict]]:
+    """v3 -> v4: drop the constant dispatch and sweep-path labels."""
+    upgraded: List[dict] = []
+    for event in events:
+        event = dict(event)
+        verdict = event.get("verdict")
+        if isinstance(verdict, dict) and "dispatch" in verdict:
+            event["verdict"] = {k: v for k, v in verdict.items() if k != "dispatch"}
+        trajectory = event.get("trajectory")
+        if isinstance(trajectory, dict) and "path" in trajectory:
+            event["trajectory"] = {k: v for k, v in trajectory.items() if k != "path"}
+        upgraded.append(event)
+    header = dict(header)
+    header["schema_version"] = 4
+    return header, upgraded
+
+
 #: version -> function lifting a trace *from* that version to the next.
 _UPGRADES: Dict[int, Callable[[dict, List[dict]], Tuple[dict, List[dict]]]] = {
     1: _upgrade_v1,
     2: _upgrade_v2,
+    3: _upgrade_v3,
 }
 
 

@@ -28,7 +28,7 @@ Registered workloads:
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.trace.recorder import TRACE, RunTrace
 
@@ -37,28 +37,21 @@ WorkloadFn = Callable[[Dict[str, Any]], Dict[str, Any]]
 #: name -> function(params) -> JSON-safe outcome dict (the trace footer).
 WORKLOADS: Dict[str, WorkloadFn] = {}
 
+#: name -> the parameter names the workload reads, or ``None`` when the
+#: workload validates an open-ended set itself (``workflow`` forwards
+#: preset parameters to the preset's typed table).
+WORKLOAD_PARAMS: Dict[str, Optional[Tuple[str, ...]]] = {}
 
-def _workload(name: str) -> Callable[[WorkloadFn], WorkloadFn]:
+
+def _workload(
+    name: str, params: Optional[Tuple[str, ...]] = ()
+) -> Callable[[WorkloadFn], WorkloadFn]:
     def register(fn: WorkloadFn) -> WorkloadFn:
         WORKLOADS[name] = fn
+        WORKLOAD_PARAMS[name] = params
         return fn
 
     return register
-
-
-def _compiled(params: Dict[str, Any]) -> bool:
-    """Whether this run uses compiled rulebase dispatch.
-
-    Every workload honours an optional ``dispatch`` parameter
-    (``"compiled"``, the default, or ``"interpreted"``) so the
-    compiled-vs-interpreted differential suite can record both paths of
-    the same workload and pin their verdict streams identical."""
-    dispatch = params.get("dispatch", "compiled")
-    if dispatch not in ("compiled", "interpreted"):
-        raise KeyError(
-            f"unknown dispatch mode {dispatch!r}; use 'compiled' or 'interpreted'"
-        )
-    return dispatch == "compiled"
 
 
 def _bind_obs(rabit: Any) -> None:
@@ -89,10 +82,7 @@ def _run_solubility(params: Dict[str, Any]) -> Dict[str, Any]:
     from repro.lab.workflows import build_solubility_workflow, run_workflow
 
     deck = build_hein_deck()
-    options = RabitOptions.modified(
-        use_extended_simulator=True, bypass_gui=True,
-        compiled_dispatch=_compiled(params),
-    )
+    options = RabitOptions.modified(use_extended_simulator=True, bypass_gui=True)
     rabit, proxies, trace = make_hein_rabit(
         deck, options=options, use_extended_simulator=True, clock=VirtualClock()
     )
@@ -103,14 +93,11 @@ def _run_solubility(params: Dict[str, Any]) -> Dict[str, Any]:
 
 @_workload("testbed")
 def _run_testbed(params: Dict[str, Any]) -> Dict[str, Any]:
-    from repro.core.monitor import RabitOptions
     from repro.lab.workflows import build_testbed_workflow, run_workflow
     from repro.testbed.deck import build_testbed_deck, make_testbed_rabit
 
     deck = build_testbed_deck(noise_sigma=0.003)
-    rabit, proxies, trace = make_testbed_rabit(
-        deck, options=RabitOptions.modified(compiled_dispatch=_compiled(params))
-    )
+    rabit, proxies, trace = make_testbed_rabit(deck)
     _bind_obs(rabit)
     result = run_workflow(build_testbed_workflow(proxies))
     return _result_outcome(result, len(trace))
@@ -118,7 +105,6 @@ def _run_testbed(params: Dict[str, Any]) -> Dict[str, Any]:
 
 @_workload("centrifuge")
 def _run_centrifuge(params: Dict[str, Any]) -> Dict[str, Any]:
-    from repro.core.monitor import RabitOptions
     from repro.lab.workflows import build_centrifuge_workflow, run_workflow
     from repro.testbed.deck import build_testbed_deck, make_testbed_rabit
 
@@ -127,9 +113,7 @@ def _run_centrifuge(params: Dict[str, Any]) -> Dict[str, Any]:
     vial.decap_vial()
     vial.contents.solid_mg = 5.0
     vial.contents.liquid_ml = 5.0
-    rabit, proxies, trace = make_testbed_rabit(
-        deck, options=RabitOptions.modified(compiled_dispatch=_compiled(params))
-    )
+    rabit, proxies, trace = make_testbed_rabit(deck)
     _bind_obs(rabit)
     result = run_workflow(build_centrifuge_workflow(proxies))
     return _result_outcome(result, len(trace))
@@ -144,34 +128,26 @@ def _run_multi_door(params: Dict[str, Any]) -> Dict[str, Any]:
     )
     from repro.lab.workflows import run_workflow
 
-    from repro.core.monitor import RabitOptions
-
     deck = build_two_door_deck()
-    rabit, proxies, trace = make_two_door_rabit(
-        deck, options=RabitOptions.modified(compiled_dispatch=_compiled(params))
-    )
+    rabit, proxies, trace = make_two_door_rabit(deck)
     _bind_obs(rabit)
     result = run_workflow(build_two_door_workflow(proxies))
     return _result_outcome(result, len(trace))
 
 
-@_workload("mutant")
+@_workload("mutant", ("seed", "index"))
 def _run_mutant(params: Dict[str, Any]) -> Dict[str, Any]:
-    from repro.core.monitor import RabitOptions
     from repro.faults.montecarlo import run_mutant_monitored
 
     seed, index = int(params["seed"]), int(params["index"])
-    description, result = run_mutant_monitored(
-        seed, index,
-        options=RabitOptions.modified(compiled_dispatch=_compiled(params)),
-    )
+    description, result = run_mutant_monitored(seed, index)
     outcome = _result_outcome(result, len(result.executed_lines))
     outcome["description"] = description
     outcome["detected"] = result.stopped_by_rabit
     return outcome
 
 
-@_workload("bug")
+@_workload("bug", ("bug_id", "config"))
 def _run_bug(params: Dict[str, Any]) -> Dict[str, Any]:
     from repro.faults.campaign import CAMPAIGN_BUGS, run_bug
 
@@ -183,7 +159,7 @@ def _run_bug(params: Dict[str, Any]) -> Dict[str, Any]:
         raise KeyError(
             f"unknown bug id {bug_id!r}; known: {sorted(by_id)}"
         ) from None
-    outcome = run_bug(bug, config, compiled_dispatch=_compiled(params))
+    outcome = run_bug(bug, config)
     return {
         "bug_id": bug_id,
         "config": config,
@@ -195,7 +171,7 @@ def _run_bug(params: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
-@_workload("workflow")
+@_workload("workflow", None)
 def _run_workflow(params: Dict[str, Any]) -> Dict[str, Any]:
     """A declarative workflow run: a named preset (plus preset
     parameters), or ``spec`` = path to an exported spec file.  The
@@ -203,7 +179,6 @@ def _run_workflow(params: Dict[str, Any]) -> Dict[str, Any]:
     covers the full command stream end to end."""
     import json
 
-    from repro.core.monitor import RabitOptions
     from repro.workflow import (
         WorkflowDAG,
         build_context,
@@ -213,8 +188,6 @@ def _run_workflow(params: Dict[str, Any]) -> Dict[str, Any]:
     )
 
     remaining = dict(params)
-    remaining.pop("dispatch", None)
-    options = RabitOptions.modified(compiled_dispatch=_compiled(params))
     spec_path = remaining.pop("spec", None)
     if spec_path is not None:
         if remaining.pop("preset", None) is not None:
@@ -225,15 +198,18 @@ def _run_workflow(params: Dict[str, Any]) -> Dict[str, Any]:
                 f"spec runs take no extra parameters, got {sorted(remaining)}"
             )
     else:
-        from repro.workflow import build_preset
+        from repro.workflow import StepError, build_preset
 
         name = str(remaining.pop("preset", "solubility"))
-        dag = build_preset(name, remaining)
+        try:
+            dag = build_preset(name, remaining)
+        except StepError as exc:
+            # An invalid request, like an unknown workload name.
+            raise KeyError(str(exc)) from None
     ctx = build_context(
         deck=dag.deck,
         deck_params=dag.deck_params,
         prepare=dag.prepare,
-        options=options,
     )
     _bind_obs(ctx.rabit)
     result = execute_dag(dag, ctx)
@@ -252,19 +228,15 @@ def _run_workflow(params: Dict[str, Any]) -> Dict[str, Any]:
     return outcome
 
 
-@_workload("fuzz")
+@_workload("fuzz", ("seed", "index"))
 def _run_fuzz(params: Dict[str, Any]) -> Dict[str, Any]:
     """The monitored leg of random-DAG fuzz case ``(seed, index)`` —
     pure in the pair, like the ``mutant`` workload."""
-    from repro.core.monitor import RabitOptions
     from repro.workflow import build_context, execute_dag, random_dag
 
     seed, index = int(params["seed"]), int(params["index"])
     dag = random_dag(seed, index)
-    ctx = build_context(
-        deck=dag.deck,
-        options=RabitOptions.modified(compiled_dispatch=_compiled(params)),
-    )
+    ctx = build_context(deck=dag.deck)
     _bind_obs(ctx.rabit)
     result = execute_dag(dag, ctx)
     outcome = _result_outcome(result, len(ctx.trace))
@@ -278,6 +250,8 @@ def record_workload(
 ) -> RunTrace:
     """Run registered workload *name* with recording on; returns its trace.
 
+    Raises :class:`KeyError` for an unknown workload name or a parameter
+    the workload does not read, before anything runs.
     With ``obs=True`` the observability layer is reset and enabled for
     the duration of the run, so recorded events carry deterministic span
     ids and the spans carry the trace id — the cross-link is stable
@@ -289,6 +263,14 @@ def record_workload(
             f"unknown workload {name!r}; known: {sorted(WORKLOADS)}"
         ) from None
     params = dict(params or {})
+    accepted = WORKLOAD_PARAMS[name]
+    if accepted is not None:
+        unknown = sorted(set(params) - set(accepted))
+        if unknown:
+            raise KeyError(
+                f"workload {name!r} takes no parameter(s) {unknown}; "
+                f"parameters: {sorted(accepted)}"
+            )
     from repro.obs import OBS
 
     if obs:

@@ -1,6 +1,7 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -145,11 +146,11 @@ class TestMetrics:
         for needle in (
             "# TYPE rabit_commands_intercepted_total counter",
             "rabit_rule_cache_lookups_total{",
-            'es_trajectory_checks_total{path="batch"}',
             "geometry_pair_checks_total",
             "rabit_guard_wall_seconds_bucket",
         ):
             assert needle in prom, needle
+        assert re.search(r"^es_trajectory_checks_total [1-9]", prom, re.M), prom
 
         snapshot = json.loads(json_out.read_text())
         assert "rabit_commands_intercepted_total" in snapshot["counters"]

@@ -316,12 +316,11 @@ class TestExtendedSimulatorDifferential:
     def test_random_moves_agree(self):
         from repro.core.actions import ActionCall, ActionLabel
         from repro.lab.hein import build_hein_deck, make_hein_rabit
-        from repro.simulator.extended import ExtendedSimulator
+        from repro.simulator.extended import ExtendedSimulator, sweep_scalar
 
         deck = build_hein_deck()
         rabit, proxies, _ = make_hein_rabit(deck)
-        batch = ExtendedSimulator({"ur3e": deck.ur3e}, use_batch=True)
-        scalar = ExtendedSimulator({"ur3e": deck.ur3e}, use_batch=False)
+        checker = ExtendedSimulator({"ur3e": deck.ur3e})
 
         rng = np.random.default_rng(11)
         verdicts = []
@@ -338,13 +337,18 @@ class TestExtendedSimulatorDifferential:
                 rabit.state.set("robot_holding", "ur3e", "vial_1")
             else:
                 rabit.state.set("robot_holding", "ur3e", None)
-            want = scalar.validate_trajectory(
+            job = checker.prepare_sweep(
                 call, rabit.state, rabit.model, account_held_objects=True
             )
-            got = batch.validate_trajectory(
-                call, rabit.state, rabit.model, account_held_objects=True
-            )
+            if job is None:
+                continue
+            want = sweep_scalar(job)
+            got = checker._sweep_batch(job)
             assert got == want, (target, want, got)
+            # The production entry point runs exactly the batch sweep.
+            assert checker.validate_trajectory(
+                call, rabit.state, rabit.model, account_held_objects=True
+            ) == got
             verdicts.append(want)
         # The sweep must exercise both outcomes to mean anything.
         assert any(v is None for v in verdicts)
@@ -358,7 +362,7 @@ class TestExtendedSimulatorDifferential:
 
         deck = build_hein_deck()
         rabit, proxies, _ = make_hein_rabit(deck)
-        checker = ExtendedSimulator({"ur3e": deck.ur3e}, use_batch=True)
+        checker = ExtendedSimulator({"ur3e": deck.ur3e})
         call = ActionCall(
             ActionLabel.MOVE_ROBOT, "ur3e", robot="ur3e", target=(0.3, -0.05, 0.28)
         )

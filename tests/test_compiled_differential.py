@@ -1,18 +1,21 @@
-"""Compiled-vs-interpreted dispatch differential.
+"""Compiled dispatch vs the interpreted reference scan.
 
-The compiled rulebase is only admissible because it is *provably
-inert*: same first-violation verdict — rule id and reason string — for
-every command, across every workload.  This suite pins that equivalence
-at three granularities:
+The monitor only ever consults :class:`CompiledRuleBase`; it is
+admissible because it is *provably inert*: same first-violation
+verdict — rule id and reason string — as the interpreted
+:meth:`RuleBase.check_action` scan for every command.  This suite pins
+that equivalence at three granularities:
 
 - **scenario level** — every hand-built rule scenario checked through
-  both paths;
-- **workload level** — whole recorded traces (verdicts, state deltas,
-  virtual timestamps) compared field-by-field, with ``verdict.dispatch``
-  the only permitted difference;
-- **corpus level** — a sample of the Monte Carlo mutant corpus re-run
-  through both paths (``COMPILED_DIFF_SAMPLES`` widens the sample for
-  the nightly tier).
+  both engines;
+- **workload level** — whole recorded workloads run with a *shadow
+  check*: every compiled verdict the monitor computes is re-evaluated
+  by the interpreted scan on the same :class:`CheckContext` and must be
+  equal, and the shadowed recording must be byte-identical to a plain
+  one;
+- **corpus level** — a sample of the Monte Carlo mutant corpus run
+  under the same shadow check (``COMPILED_DIFF_SAMPLES`` widens the
+  sample for the nightly tier).
 """
 
 import os
@@ -20,7 +23,7 @@ import os
 import pytest
 
 from repro.core.actions import ActionCall, ActionLabel
-from repro.core.rulebase import CheckContext, build_default_rulebase
+from repro.core.rulebase import CheckContext, RuleBase, build_default_rulebase
 from repro.core.state import LabState
 
 from tests.test_core_rulebase import tiny_model
@@ -125,25 +128,42 @@ class TestScenarioDifferential:
         assert expected <= fired
 
 
-def _strip_dispatch(events):
-    """Events with ``verdict.dispatch`` removed — the only field the
-    two recordings are allowed to differ in."""
-    stripped = []
-    for event in events:
-        event = dict(event)
-        verdict = dict(event["verdict"])
-        assert verdict.pop("dispatch") in ("compiled", "interpreted")
-        event["verdict"] = verdict
-        stripped.append(event)
-    return stripped
+def _as_verdict(hit):
+    return (hit[0].rule_id, hit[1]) if hit else None
 
 
-def _record(workload, dispatch, params=None):
-    from repro.trace.workloads import record_workload
+class _ShadowChecked:
+    """A compiled engine whose every verdict is re-derived by the
+    interpreted scan on the same context and asserted equal."""
 
-    params = dict(params or {})
-    params["dispatch"] = dispatch
-    return record_workload(workload, params)
+    def __init__(self, rulebase, engine, checked):
+        self._rulebase = rulebase
+        self._engine = engine
+        self._checked = checked
+
+    def check_action(self, ctx):
+        hit = self._engine.check_action(ctx)
+        reference = self._rulebase.check_action(ctx)
+        assert _as_verdict(hit) == _as_verdict(reference), (ctx.call, hit, reference)
+        self._checked.append(ctx.call.label)
+        return hit
+
+
+def _install_shadow(patch):
+    """Shadow-check every compiled verdict the monitor asks for; returns
+    the list of checked call labels."""
+    checked = []
+    compiled = RuleBase.compiled
+    patch.setattr(
+        RuleBase, "compiled",
+        lambda self: _ShadowChecked(self, compiled(self), checked),
+    )
+    return checked
+
+
+@pytest.fixture()
+def shadow_checked(monkeypatch):
+    return _install_shadow(monkeypatch)
 
 
 WORKLOADS = [
@@ -158,37 +178,32 @@ WORKLOADS = [
 class TestWorkloadDifferential:
     @pytest.mark.parametrize("workload,params", WORKLOADS,
                              ids=[w for w, _ in WORKLOADS])
-    def test_traces_identical_up_to_dispatch_label(self, workload, params):
-        compiled = _record(workload, "compiled", params)
-        interpreted = _record(workload, "interpreted", params)
-        assert _strip_dispatch(compiled.events) == _strip_dispatch(interpreted.events)
-        assert compiled.footer["outcome"] == interpreted.footer["outcome"]
-        assert compiled.footer["final_time"] == interpreted.footer["final_time"]
-        for event in compiled.events:
-            if event["verdict"]["cache"] != "hit":
-                assert event["verdict"]["dispatch"] == "compiled"
+    def test_every_verdict_matches_the_interpreted_scan(
+        self, workload, params, monkeypatch
+    ):
+        from repro.trace.workloads import record_workload
+
+        plain = record_workload(workload, params)
+        with monkeypatch.context() as patch:
+            checked = _install_shadow(patch)
+            shadowed = record_workload(workload, params)
+        cold = [e for e in plain.events if e["verdict"]["cache"] != "hit"]
+        assert len(checked) == len(cold) > 0
+        assert shadowed.canonical_bytes() == plain.canonical_bytes()
 
     def test_unknown_dispatch_mode_rejected(self):
-        with pytest.raises(KeyError, match="unknown dispatch mode"):
-            _record("multi_door", "jit")
+        """The retired ``dispatch`` switch cannot come back as a
+        parameter that silently records the default run."""
+        from repro.trace.workloads import record_workload
+
+        with pytest.raises(KeyError, match="takes no parameter"):
+            record_workload("multi_door", {"dispatch": "interpreted"})
 
 
 class TestMutantCorpusDifferential:
     @pytest.mark.parametrize("index", range(SAMPLES))
-    def test_mutant_agrees_across_paths(self, index):
-        from repro.core.monitor import RabitOptions
+    def test_mutant_agrees_across_paths(self, index, shadow_checked):
         from repro.faults.montecarlo import run_mutant_monitored
 
-        outcomes = {}
-        for mode in (True, False):
-            options = RabitOptions.modified(compiled_dispatch=mode)
-            description, result = run_mutant_monitored(2024, index, options=options)
-            outcomes[mode] = (
-                description,
-                result.completed,
-                tuple(result.executed_lines),
-                str(result.alert) if result.alert else None,
-                result.device_error,
-                result.stopped_by_rabit,
-            )
-        assert outcomes[True] == outcomes[False]
+        run_mutant_monitored(2024, index)
+        assert shadow_checked, "no compiled verdict was shadow-checked"

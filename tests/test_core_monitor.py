@@ -1,8 +1,10 @@
 """Tests for the Fig. 2 monitor loop, using the Hein deck end to end."""
 
+import asyncio
+
 import pytest
 
-from repro.core.actions import ActionLabel
+from repro.core.actions import ActionCall, ActionLabel
 from repro.core.errors import AlertKind, SafetyViolation
 from repro.core.monitor import RabitOptions
 from repro.lab.hein import build_hein_deck, make_hein_rabit
@@ -59,6 +61,23 @@ class TestGuardFlow:
         rabit, proxies, _ = make_hein_rabit(deck)
         proxies["dosing_device"].open_door()
         assert rabit.state.get("door_status", "dosing_device") == "open"
+
+    def test_sync_guard_refuses_a_command_that_suspends(self):
+        """``guard`` runs the shared pipeline in one step; an execute that
+        really awaits cannot complete there and must fail loudly, with
+        the device call abandoned rather than half-awaited."""
+        deck = build_hein_deck()
+        rabit, _, _ = make_hein_rabit(deck)
+        ran = []
+
+        async def waits():
+            await asyncio.sleep(0)
+            ran.append(True)
+
+        call = ActionCall(ActionLabel.OPEN_DOOR, "dosing_device")
+        with pytest.raises(RuntimeError, match="suspended mid-guard"):
+            rabit.guard(call, waits)
+        assert not ran
 
 
 class TestDeviceMalfunction:

@@ -104,12 +104,6 @@ class TestIK:
         with pytest.raises(ValueError, match="3D point"):
             solve_position_ik(UR3E.chain(), [0.1, 0.2], q0=UR3E.home_q)
 
-    def test_rejects_unknown_jacobian_mode(self):
-        with pytest.raises(ValueError, match="jacobian mode"):
-            solve_position_ik(
-                UR3E.chain(), [0.3, 0.1, 0.3], q0=UR3E.home_q, jacobian="symbolic"
-            )
-
     @pytest.mark.parametrize("converged_target", [True, False])
     def test_result_q_holds_builtin_floats(self, converged_target):
         # Regression: np.float64 scalars leaking into IKResult.q made

@@ -8,19 +8,21 @@ scalar slab test.  This suite is the gate that makes the speedup safe:
   <= 1e-12 (in practice they are bit-identical — same float64 ops);
 - the analytic position Jacobian matches central differences to <= 1e-6
   on every profile arm, prismatic joints included;
-- IK convergence verdicts are identical between the analytic and
-  numeric Jacobian modes, and between the batched multi-target solver
-  and the sequential scalar loop, on every profile arm.
+- IK convergence verdicts are identical between the production solver
+  and the same solver with the numeric Jacobian swapped in, and between
+  the batched multi-target solver and the sequential scalar loop, on
+  every profile arm.
 """
 
 import numpy as np
 import pytest
 
 from repro.geometry.transforms import rotation_z, translation
+from repro.kinematics import ik
 from repro.kinematics.dh import DHChain, DHLink
 from repro.kinematics.ik import (
-    analytic_position_jacobian,
-    numeric_position_jacobian,
+    position_jacobian,
+    central_difference_jacobian,
     solve_position_ik,
     solve_position_ik_batch,
 )
@@ -98,8 +100,8 @@ class TestAnalyticJacobian:
     def test_matches_central_differences(self, profile):
         chain = profile.chain()
         for q in _postures(profile, 24, seed=23):
-            analytic = analytic_position_jacobian(chain, q)
-            numeric = numeric_position_jacobian(chain, q)
+            analytic = position_jacobian(chain, q)
+            numeric = central_difference_jacobian(chain, q)
             assert np.allclose(analytic, numeric, atol=JAC_ATOL, rtol=0.0), (
                 f"{profile.name}: analytic/numeric Jacobian mismatch at {q}"
             )
@@ -108,8 +110,8 @@ class TestAnalyticJacobian:
         chain = NED2.chain().with_base(translation([0.2, 0.6, 0.0]) @ rotation_z(-1.1))
         for q in _postures(NED2, 12, seed=29):
             assert np.allclose(
-                analytic_position_jacobian(chain, q),
-                numeric_position_jacobian(chain, q),
+                position_jacobian(chain, q),
+                central_difference_jacobian(chain, q),
                 atol=JAC_ATOL,
                 rtol=0.0,
             )
@@ -117,23 +119,29 @@ class TestAnalyticJacobian:
     def test_prismatic_column_is_axis(self):
         # A lone prismatic link's Jacobian column is its (base-frame) z axis.
         lift = DHChain([DHLink(a=0.0, alpha=0.0, d=0.1, prismatic=True)])
-        jac = analytic_position_jacobian(lift, np.array([0.07]))
+        jac = position_jacobian(lift, np.array([0.07]))
         assert np.allclose(jac[:, 0], [0.0, 0.0, 1.0], atol=FK_ATOL)
 
 
 class TestIKVerdictParity:
     @pytest.mark.parametrize("profile", ALL_PROFILES, ids=lambda p: p.name)
-    def test_analytic_and_numeric_modes_agree(self, profile):
+    def test_analytic_and_numeric_modes_agree(self, profile, monkeypatch):
         chain = profile.chain()
+        numeric_calls = []
+
+        def numeric_jacobian(chain, q):
+            numeric_calls.append(1)
+            return central_difference_jacobian(chain, q)
+
         for target in _targets(profile, 12, seed=31):
             analytic = solve_position_ik(
-                chain, target, q0=profile.home_q,
-                joint_limits=profile.joint_limits, jacobian="analytic",
+                chain, target, q0=profile.home_q, joint_limits=profile.joint_limits,
             )
-            numeric = solve_position_ik(
-                chain, target, q0=profile.home_q,
-                joint_limits=profile.joint_limits, jacobian="numeric",
-            )
+            with monkeypatch.context() as patch:
+                patch.setattr(ik, "position_jacobian", numeric_jacobian)
+                numeric = solve_position_ik(
+                    chain, target, q0=profile.home_q, joint_limits=profile.joint_limits,
+                )
             assert analytic.converged == numeric.converged, (
                 f"{profile.name}: verdict flipped for {target}"
             )
@@ -142,6 +150,7 @@ class TestIKVerdictParity:
                 for result in (analytic, numeric):
                     reached = chain.end_effector_position(result.q)
                     assert np.linalg.norm(reached - target) < 1e-4
+        assert numeric_calls, "the numeric Jacobian was never swapped in"
 
     @pytest.mark.parametrize("profile", ALL_PROFILES, ids=lambda p: p.name)
     def test_batch_solver_matches_sequential(self, profile):

@@ -17,7 +17,12 @@ import pytest
 
 from repro.core.actions import ActionLabel
 from repro.core.rulebase import Rule, RuleScope
-from repro.serve.client import ServeClient, ServeError
+from repro.serve.client import (
+    ServeClient,
+    ServeConnectionLost,
+    ServeError,
+    ServeUnavailableError,
+)
 from repro.serve.protocol import read_message
 from repro.serve.server import GuardServer
 
@@ -224,6 +229,42 @@ def test_request_errors_are_answered_not_fatal():
         ok = await client.command("ur3e", "go_to_home_pose")
         assert ok["ok"]
         await client.close()
+
+    serve_test(scenario)
+
+
+def test_malformed_command_arguments_are_answered_not_fatal():
+    async def scenario(server, path):
+        bystander = await open_client(path, deck="hein")
+        victim = await open_client(path, deck="hein")
+
+        # Arguments that fail to resolve: nothing ran, so the answer names
+        # the call and the session stays usable.
+        with pytest.raises(ServeError, match=r"dosing_device\.dose_solid: invalid arguments"):
+            await victim.command("dosing_device", "dose_solid", [5])
+        with pytest.raises(ServeError, match=r"ur3e\.move_to_location: invalid arguments .*'ref'"):
+            await victim.command("ur3e", "move_to_location")
+        assert (await victim.command("ur3e", "go_to_home_pose"))["ok"]
+
+        # Arguments the device rejects mid-guard: the device may have
+        # half-run the call, so the session ends after one final,
+        # non-retryable error frame.
+        with pytest.raises(ServeError, match=r"ur3e\.move_to_location failed: TypeError") as info:
+            await victim.command("ur3e", "move_to_location", "grid_a1_safe", "b", "c")
+        assert not isinstance(info.value, (ServeConnectionLost, ServeUnavailableError))
+        with pytest.raises(ServeConnectionLost):
+            await victim.ping()
+
+        # The service and every other session carry on.
+        assert (await bystander.command("dosing_device", "open_door"))["ok"]
+        await asyncio.sleep(0.05)  # let the server finish the victim's teardown
+        stats = await bystander.stats()
+        assert stats["sessions_opened"] == 2
+        assert stats["sessions_open"] == 1
+        assert stats["commands"] == 2
+        await bystander.close()
+        await asyncio.sleep(0.05)
+        assert server.snapshot()["sessions_open"] == 0
 
     serve_test(scenario)
 

@@ -287,7 +287,7 @@ class TestRuleCacheParity:
             assert _alert_trace(cached) == _alert_trace(plain), name
 
         # And the two monitors must have reached the same belief state.
-        assert cached.state.fingerprint() == plain.state.fingerprint()
+        assert cached.state.as_dict() == plain.state.as_dict()
 
     def test_repeated_commands_actually_hit_the_cache(self):
         rabit, proxies = _fresh_monitor(cache_size=256)

@@ -59,6 +59,23 @@ class TestRecord:
         ]) == 2
         assert "unknown workload" in capsys.readouterr().err
 
+    def test_unknown_param_exits_two(self, tmp_path, capsys):
+        """A parameter the workload never reads is an invalid request,
+        not a silently recorded default run."""
+        out = tmp_path / "x.jsonl"
+        assert main([
+            "record", "--workload", "solubility", "--param", "foo=1",
+            "--out", str(out),
+        ]) == 2
+        assert "takes no parameter" in capsys.readouterr().err
+        assert not out.exists()
+        assert main([
+            "record", "--workload", "workflow", "--param", "preset=solubility",
+            "--param", "foo=1", "--out", str(out),
+        ]) == 2
+        assert "has no parameter 'foo'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_malformed_param_exits_two(self, tmp_path):
         with pytest.raises(SystemExit):
             main([
@@ -141,4 +158,25 @@ class TestSchemaUpgrade:
         upgraded = RunTrace.read_jsonl(old)
         assert upgraded.schema_version == SCHEMA_VERSION
         assert upgraded.canonical_bytes() == RunTrace.read_jsonl(recorded).canonical_bytes()
+        assert main(["replay", str(old)]) == 0
+
+    def test_v3_trace_upgrades_and_replays(self, tmp_path, capsys):
+        """A v3 file (constant ``verdict.dispatch`` and ``trajectory.path``
+        labels) upgrades on read to the v4 stream and still replays."""
+        golden = FIXTURES / "solubility-2024.trace.jsonl"
+
+        def downgrade(docs):
+            docs[0]["schema_version"] = 3
+            for doc in docs[1:]:
+                if doc.get("type") != "command":
+                    continue
+                doc["verdict"]["dispatch"] = "compiled"
+                if doc["trajectory"] is not None:
+                    doc["trajectory"]["path"] = "batch"
+
+        old = _rewrite(golden, tmp_path / "v3.trace.jsonl", downgrade)
+        assert '"path": "batch"' in old.read_text()
+        upgraded = RunTrace.read_jsonl(old)
+        assert upgraded.schema_version == SCHEMA_VERSION
+        assert upgraded.canonical_bytes() == RunTrace.read_jsonl(golden).canonical_bytes()
         assert main(["replay", str(old)]) == 0

@@ -83,3 +83,20 @@ def test_multi_door_golden_touches_compound_door_state():
     }
     assert "mdoser:front" in touched
     assert "mdoser:back" in touched
+
+
+def test_v3_golden_upgrades_to_the_v4_bytes():
+    """The multi-door golden as schema v3 recorded it (``verdict.dispatch``
+    and ``trajectory.path`` present) upgrades to exactly the committed
+    v4 golden — the v3 -> v4 step drops only constant labels."""
+    import json
+
+    from repro.trace.schema import upgrade_trace
+
+    legacy = (FIXTURES / "multi-door-2024.v3.jsonl").read_text().splitlines()
+    docs = [json.loads(line) for line in legacy]
+    assert docs[0]["schema_version"] == 3
+    assert all("dispatch" in doc["verdict"] for doc in docs[1:-1])
+    header, body = upgrade_trace(docs[0], docs[1:])
+    upgraded = "".join(json.dumps(doc, sort_keys=True) + "\n" for doc in [header, *body])
+    assert upgraded == (FIXTURES / "multi-door-2024.trace.jsonl").read_text()
