@@ -45,7 +45,7 @@ python -m repro replay --diff tests/fixtures/traces/*.trace.jsonl
 echo "==> end-to-end benchmark self-tests (traced targets, one core.guard per command)"
 python -m pytest -q perfbench/tests
 
-echo "==> benchmark gates (throughput, latency, observability, cold guard path, serve)"
+echo "==> benchmark gates (throughput, end-to-end, latency, observability, cold guard path, serve)"
 python -m pytest -q \
     benchmarks/test_collision_throughput.py \
     benchmarks/test_fk_throughput.py \
@@ -53,6 +53,7 @@ python -m pytest -q \
     benchmarks/test_obs_overhead.py \
     benchmarks/test_cold_guard_latency.py \
     benchmarks/test_montecarlo_throughput.py \
+    benchmarks/test_e2e_throughput.py \
     benchmarks/test_serve_throughput.py \
     benchmarks/test_shard_throughput.py
 

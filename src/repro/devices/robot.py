@@ -39,6 +39,7 @@ import numpy as np
 from repro.devices.base import Device, DeviceKind
 from repro.devices.locations import Location, LocationKind
 from repro.devices.world import DamageEvent, DamageSeverity, LabWorld
+from repro.geometry.batch import BatchCollisionEngine
 from repro.geometry.shapes import Cuboid
 from repro.geometry.vec import Vec3, as_vec3, distance
 from repro.kinematics.arm import ArmKinematics, TrajectoryPlan
@@ -53,6 +54,12 @@ class GripperState(Enum):
 
 
 LocationRef = Union[str, Sequence[float]]
+
+
+def _contact_names(engine: BatchCollisionEngine, points: np.ndarray) -> List[Optional[str]]:
+    """Per point, the name of the first cuboid containing it (``None``: clear)."""
+    names = engine.names
+    return [names[i] if i >= 0 else None for i in engine.first_containing(points)]
 
 
 class RobotArmDevice(Device):
@@ -245,7 +252,24 @@ class RobotArmDevice(Device):
         self._run_plan(plan, location)
 
     def _run_plan(self, plan: TrajectoryPlan, location: Optional[Location]) -> None:
-        """Execute a planned trajectory with full ground-truth physics."""
+        """Execute a planned trajectory with full ground-truth physics.
+
+        Every probe point of every sample is tested against the deck boxes
+        in one :meth:`~repro.geometry.batch.BatchCollisionEngine.first_containing`
+        pass per probe family (boundaries count as contact, like
+        :meth:`Cuboid.contains`); the per-sample walk then applies the
+        results in a fixed precedence:
+
+        1. the held vial's lowest point, against obstacles then support
+           surfaces — a hit shatters the vial and the move continues;
+        2. the end effector against obstacles, then the gripper tip
+           against obstacles, then the gripper tip against surfaces;
+        3. the workspace (room bounds and software walls) at the end
+           effector.
+
+        The first sample with a hit in 2 or 3 records the collision and
+        freezes the arm there (protective stop).
+        """
         self._stalled = False
         entering = (
             location is not None and location.kind is LocationKind.DEVICE_INTERIOR
@@ -296,43 +320,43 @@ class RobotArmDevice(Device):
         ee_start_own = self.kinematics.current_position()
         ee_end_own = plan.trajectory.chain.end_effector_position(plan.trajectory.q_end)
         count = len(samples)
-        ee_path_world = [
+        ee_path_world = np.array([
             to_world.apply(ee_start_own + (ee_end_own - ee_start_own) * (i / (count - 1)))
             for i in range(count)
-        ]
-        obstacles = self._collision_obstacles(
+        ])
+        obstacles = BatchCollisionEngine(self._collision_obstacles(
             exclude_device=target_device, also_exclude=currently_inside
-        )
-        surfaces = self.world.surfaces()
+        ))
+        surfaces = BatchCollisionEngine(self.world.surfaces())
 
-        for index, (q, ee_world) in enumerate(zip(samples, ee_path_world)):
+        # Bare-arm contact: the tool point and the gripper tip are the
+        # collision surface (position-only control leaves the wrist
+        # orientation free, so the arm is reduced to its tool for
+        # collision purposes; the Extended Simulator makes the same
+        # modeling choice, keeping simulator and reality consistent).
+        # The tip is additionally checked against support surfaces;
+        # proximal links are exempt — arms are mounted on the surfaces.
+        gripper_tips = ee_path_world - np.array([0.0, 0.0, self.GRIPPER_CLEARANCE])
+        ee_hits = _contact_names(obstacles, ee_path_world)
+        tip_hits = _contact_names(obstacles, gripper_tips)
+        tip_surface_hits = _contact_names(surfaces, gripper_tips)
+        if self._holding is not None:
+            vial_tips = ee_path_world - np.array([0.0, 0.0, self.HELD_DROP])
+            vial_hits = _contact_names(obstacles, vial_tips)
+            vial_surface_hits = _contact_names(surfaces, vial_tips)
+
+        for index, q in enumerate(samples):
 
             # Held vial contacts first: it hangs lowest.
             if self._holding is not None:
-                vial_tip = ee_world - np.array([0.0, 0.0, self.HELD_DROP])
-                hit_box = self._point_contact(vial_tip, obstacles) or self._point_contact(
-                    vial_tip, surfaces
-                )
+                hit_box = vial_hits[index] or vial_surface_hits[index]
                 if hit_box is not None:
                     self._shatter_held(f"crushed against {hit_box!r} mid-move")
                     # The arm itself continues: losing the vial does not
                     # trip any sensor on these arms.
 
-            # Bare-arm contact: the tool point and the gripper tip are the
-            # collision surface (position-only control leaves the wrist
-
-            # orientation free, so the arm is reduced to its tool for
-            # collision purposes; the Extended Simulator makes the same
-            # modeling choice, keeping simulator and reality consistent).
-            # The tip is additionally checked against support surfaces;
-            # proximal links are exempt — arms are mounted on the surfaces.
-            gripper_tip = ee_world - np.array([0.0, 0.0, self.GRIPPER_CLEARANCE])
-            hit_box = (
-                self._point_contact(ee_world, obstacles)
-                or self._point_contact(gripper_tip, obstacles)
-                or self._point_contact(gripper_tip, surfaces)
-            )
-            wall_reason = self.world.workspace.violation(ee_world)
+            hit_box = ee_hits[index] or tip_hits[index] or tip_surface_hits[index]
+            wall_reason = self.world.workspace.violation(ee_path_world[index])
 
             if hit_box is not None or wall_reason:
                 obstacle = hit_box
@@ -376,13 +400,6 @@ class RobotArmDevice(Device):
                 continue
             boxes.append(device.current_footprint_world())
         return boxes
-
-    @staticmethod
-    def _point_contact(point: Vec3, obstacles: Sequence[Cuboid]) -> Optional[str]:
-        for box in obstacles:
-            if box.contains(point):
-                return box.name
-        return None
 
     def _obstacle_severity(self, obstacle: Optional[str]) -> DamageSeverity:
         """Severity of hitting *obstacle*, per Table V's bands."""

@@ -22,7 +22,7 @@ from repro.geometry.shapes import Cuboid, bounding_cuboid
 from repro.geometry.transforms import Transform
 from repro.geometry.vec import Vec3, as_vec3
 from repro.kinematics.dh import DHChain
-from repro.kinematics.ik import IKResult, solve_position_ik, solve_position_ik_batch
+from repro.kinematics.ik import solve_position_ik
 from repro.kinematics.profiles import ArmProfile, UnreachableBehavior
 from repro.kinematics.trajectory import JointTrajectory, plan_joint_trajectory
 
@@ -178,24 +178,6 @@ class ArmKinematics:
             target=tuple(float(x) for x in tgt),
             skipped=False,
             residual=result.error,
-        )
-
-    def solve_targets(self, targets: Sequence[Sequence[float]]) -> List[IKResult]:
-        """One vectorized IK solve per Cartesian target, from the current posture.
-
-        A reachability *screen* for fault-injection campaigns: every target
-        is solved concurrently through the batched analytic-Jacobian kernel
-        with the current posture as seed (no multi-seed restart cascade —
-        callers that need the full cascade plan targets individually via
-        :meth:`plan_move`).  Joint limits are enforced, so every returned
-        posture is feasible.
-        """
-        return solve_position_ik_batch(
-            self._chain,
-            targets,
-            q0=self._q,
-            joint_limits=self.profile.joint_limits,
-            tolerance=self.REACH_TOLERANCE,
         )
 
     def plan_posture(self, q_end: Sequence[float], speed: float = 1.0) -> TrajectoryPlan:

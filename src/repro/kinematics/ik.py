@@ -18,12 +18,25 @@ suite checks the analytic columns against (they agree to ~1e-10; the
 suite gates at 1e-6) and swaps into the solver to pin identical
 convergence verdicts.
 
-:func:`solve_position_ik_batch` solves many targets at once — the shape
-fault-injection campaigns need — by running every damped-least-squares
-iteration across all still-unconverged targets through the batched FK
-kernel, retiring targets as they converge.  Its per-target arithmetic is
-element-for-element the scalar solver's, so verdicts and solutions match
-the sequential loop exactly.
+**Stall exit.**  A seed whose best error improved by less than
+``_STALL_GAIN`` (1 %) over the last ``_STALL_WINDOW`` (10) iterations is
+abandoned: it returns ``converged=False`` with ``iterations`` set to the
+iteration at which it stalled.  The window only counts once the seed has
+got going — its best error at the window's start must already be 1 %
+below its starting error — because a seed starting at a singular posture
+(the UR arms' upright home) sits flat for about ten iterations before it
+converges.  Seeds that fail plateau at centimetres of error and would
+otherwise burn the whole iteration budget before
+:meth:`~repro.kinematics.arm.ArmKinematics.plan_move` tries its next
+restart.
+
+The exit is a heuristic, not a proof: a seed that plateaus and then
+creeps out again (rare, mostly at the edge of reach) is cut off, and
+``plan_move`` falls through to its next seed.  The differential suite
+pins what does hold — a solve the exit lets converge is bit-identical to
+the solve without it, a cut-off solve's error is never below the full
+solve's, and every plan from the home and sleep postures to the lab
+decks' named locations is unchanged.
 """
 
 from __future__ import annotations
@@ -41,9 +54,18 @@ _OBS_JACOBIANS = OBS.registry.counter(
     "Position-Jacobian evaluations, by mode.",
     labels=("mode",),
 )
+_OBS_SOLVES = OBS.registry.counter(
+    "kinematics_ik_solves_total",
+    "IK solves, by outcome (converged, stalled, exhausted).",
+    labels=("outcome",),
+)
 
 #: Largest joint-space step per iteration (keeps the linearization valid).
 _MAX_STEP = 0.5
+#: Stall exit: a seed stops once its best error improved by less than
+#: ``_STALL_GAIN`` (relative) over the last ``_STALL_WINDOW`` iterations.
+_STALL_WINDOW = 10
+_STALL_GAIN = 0.01
 
 
 @dataclass(frozen=True)
@@ -55,6 +77,11 @@ class IKResult:
     Cartesian distance to the target, which callers compare against their
     tolerance.  ``q`` holds builtin floats (never numpy scalars) so results
     serialize type-stably into reports and JSONL traces.
+
+    For a non-converged solve, ``q`` and ``error`` are the best posture
+    seen and its error, and ``iterations`` is where the solve gave up:
+    the stall iteration when the stall exit fired (see the module
+    docstring), otherwise the full iteration budget.
     """
 
     q: Tuple[float, ...]
@@ -99,19 +126,6 @@ def position_jacobian(chain: DHChain, q: np.ndarray) -> np.ndarray:
     return columns.T
 
 
-def _analytic_jacobian_from_frames(
-    frames: np.ndarray, prismatic: np.ndarray
-) -> np.ndarray:
-    """Batched geometric Jacobians: ``(S, dof + 1, 4, 4)`` frames in,
-    ``(S, 3, dof)`` Jacobians out — the same columns as
-    :func:`position_jacobian`, for every sample at once."""
-    z = frames[:, :-1, :3, 2]  # (S, dof, 3)
-    p = frames[:, :-1, :3, 3]
-    p_e = frames[:, -1:, :3, 3]  # (S, 1, 3)
-    columns = np.where(prismatic[None, :, None], z, np.cross(z, p_e - p))
-    return np.swapaxes(columns, 1, 2)
-
-
 def _limit_bounds(joint_limits) -> Tuple[np.ndarray, np.ndarray]:
     """Joint limits as a pair of ``(dof,)`` lo/hi arrays."""
     limits = np.asarray(joint_limits, dtype=np.float64)
@@ -133,7 +147,8 @@ def solve_position_ik(
     clamping to *joint_limits* before every error evaluation — so the
     recorded best posture (and therefore ``IKResult.q``) is always
     feasible, even when the seed itself violates the limits.  Convergence
-    means the Cartesian error dropped below *tolerance*.
+    means the Cartesian error dropped below *tolerance*; a seed whose best
+    error stalls (module docstring) returns early, not converged.
     """
     q = np.asarray(q0, dtype=np.float64).copy()
     tgt = np.asarray(target, dtype=np.float64)
@@ -147,6 +162,7 @@ def solve_position_ik(
     lam_sq = damping * damping
     best_q = q.copy()
     best_err = float("inf")
+    best_history: List[float] = []
 
     for iteration in range(1, max_iterations + 1):
         error_vec = tgt - chain.end_effector_position(q)
@@ -155,9 +171,22 @@ def solve_position_ik(
             best_err = err
             best_q = q.copy()
         if err < tolerance:
+            if OBS.enabled:
+                _OBS_SOLVES.inc(1, outcome="converged")
             return IKResult(
                 tuple(float(x) for x in q), err, iteration, converged=True
             )
+        best_history.append(best_err)
+        if iteration > _STALL_WINDOW:
+            window_start = best_history[-1 - _STALL_WINDOW]
+            started = window_start <= (1.0 - _STALL_GAIN) * best_history[0]
+            if started and best_err > (1.0 - _STALL_GAIN) * window_start:
+                if OBS.enabled:
+                    _OBS_SOLVES.inc(1, outcome="stalled")
+                return IKResult(
+                    tuple(float(x) for x in best_q), best_err, iteration,
+                    converged=False,
+                )
 
         jac = position_jacobian(chain, q)
         jjt = jac @ jac.T + lam_sq * np.eye(3)
@@ -172,6 +201,8 @@ def solve_position_ik(
         if limits_lo is not None:
             np.clip(q, limits_lo, limits_hi, out=q)
 
+    if OBS.enabled:
+        _OBS_SOLVES.inc(1, outcome="exhausted")
     return IKResult(
         tuple(float(x) for x in best_q), best_err, max_iterations, converged=False
     )
@@ -181,100 +212,23 @@ def solve_position_ik_batch(
     chain: DHChain,
     targets: Sequence[Sequence[float]],
     q0: Sequence[float] | Sequence[Sequence[float]],
-    joint_limits: Optional[Sequence[Tuple[float, float]]] = None,
-    tolerance: float = 1e-4,
-    max_iterations: int = 200,
-    damping: float = 0.05,
+    **options,
 ) -> List[IKResult]:
-    """Solve one IK problem per row of *targets*, vectorized over targets.
+    """:func:`solve_position_ik` once per row of *targets*.
 
     *q0* is either a single seed posture shared by every target or one
-    seed row per target.  Each damped-least-squares iteration runs all
-    still-unconverged targets through the batched FK kernel at once:
-    stacked Jacobians, stacked ``3x3`` solves, per-row step clamping, and
-    joint-limit clipping.  A target that converges retires from the
-    active set with its iteration count; the rest keep iterating.
-
-    The per-target arithmetic is exactly the scalar solver's, so the
-    returned :class:`IKResult` list matches ``[solve_position_ik(chain,
-    t, ...) for t in targets]`` — verdicts, iteration counts, and
-    solutions alike.  Fault-injection campaigns use this to precompute
-    reachability for whole location tables in one call.
+    seed row per target; *options* pass through to the scalar solver, so
+    results are exactly ``[solve_position_ik(chain, t, q, ...) ...]``.
     """
     tgts = np.asarray(targets, dtype=np.float64)
     if tgts.ndim != 2 or tgts.shape[1] != 3:
         raise ValueError(f"targets must be (T, 3) points, got shape {tgts.shape}")
-    t_count = tgts.shape[0]
     seeds = np.asarray(q0, dtype=np.float64)
     if seeds.ndim == 1:
-        seeds = np.broadcast_to(seeds, (t_count, chain.dof)).copy()
-    elif seeds.shape != (t_count, chain.dof):
+        seeds = np.broadcast_to(seeds, (len(tgts), chain.dof))
+    elif seeds.shape != (len(tgts), chain.dof):
         raise ValueError(
-            f"q0 must be ({chain.dof},) or ({t_count}, {chain.dof}), "
+            f"q0 must be ({chain.dof},) or ({len(tgts)}, {chain.dof}), "
             f"got shape {seeds.shape}"
         )
-    else:
-        seeds = seeds.copy()
-    if t_count == 0:
-        return []
-    limits_lo = limits_hi = None
-    if joint_limits is not None:
-        limits_lo, limits_hi = _limit_bounds(joint_limits)
-        np.clip(seeds, limits_lo, limits_hi, out=seeds)
-
-    lam_sq = damping * damping
-    eye3 = lam_sq * np.eye(3)
-    q = seeds
-    best_q = q.copy()
-    best_err = np.full(t_count, np.inf)
-    active = np.arange(t_count)
-    results: List[Optional[IKResult]] = [None] * t_count
-
-    for iteration in range(1, max_iterations + 1):
-        frames = chain.frames_batch(q[active])  # (A, dof + 1, 4, 4)
-        error_vec = tgts[active] - frames[:, -1, :3, 3]  # (A, 3)
-        err = np.linalg.norm(error_vec, axis=1)
-
-        improved = err < best_err[active]
-        rows = active[improved]
-        best_err[rows] = err[improved]
-        best_q[rows] = q[rows]
-
-        done = err < tolerance
-        for row, e in zip(active[done], err[done]):
-            results[row] = IKResult(
-                tuple(float(x) for x in q[row]),
-                float(e),
-                iteration,
-                converged=True,
-            )
-        if done.any():
-            active = active[~done]
-            if active.size == 0:
-                break
-            frames = frames[~done]
-            error_vec = error_vec[~done]
-
-        jac = _analytic_jacobian_from_frames(frames, chain.prismatic_mask)
-        if OBS.enabled:
-            _OBS_JACOBIANS.inc(float(len(active)), mode="analytic")
-        jjt = jac @ np.swapaxes(jac, 1, 2) + eye3  # (A, 3, 3)
-        y = np.linalg.solve(jjt, error_vec[..., None])  # (A, 3, 1)
-        dq = (np.swapaxes(jac, 1, 2) @ y)[..., 0]  # (A, dof)
-
-        step_norm = np.linalg.norm(dq, axis=1)
-        over = step_norm > _MAX_STEP
-        dq[over] *= (_MAX_STEP / step_norm[over])[:, None]
-        stepped = q[active] + dq
-        if limits_lo is not None:
-            np.clip(stepped, limits_lo, limits_hi, out=stepped)
-        q[active] = stepped
-
-    for row in active:
-        results[row] = IKResult(
-            tuple(float(x) for x in best_q[row]),
-            float(best_err[row]),
-            max_iterations,
-            converged=False,
-        )
-    return results  # type: ignore[return-value]
+    return [solve_position_ik(chain, t, q, **options) for t, q in zip(tgts, seeds)]

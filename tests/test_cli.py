@@ -148,8 +148,12 @@ class TestMetrics:
             "rabit_rule_cache_lookups_total{",
             "geometry_pair_checks_total",
             "rabit_guard_wall_seconds_bucket",
+            "# TYPE kinematics_ik_solves_total counter",
         ):
             assert needle in prom, needle
+        assert re.search(
+            r'^kinematics_ik_solves_total\{outcome="converged"\} [1-9]', prom, re.M
+        ), prom
         assert re.search(r"^es_trajectory_checks_total [1-9]", prom, re.M), prom
 
         snapshot = json.loads(json_out.read_text())

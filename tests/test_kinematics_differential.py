@@ -9,16 +9,24 @@ scalar slab test.  This suite is the gate that makes the speedup safe:
 - the analytic position Jacobian matches central differences to <= 1e-6
   on every profile arm, prismatic joints included;
 - IK convergence verdicts are identical between the production solver
-  and the same solver with the numeric Jacobian swapped in, and between
-  the batched multi-target solver and the sequential scalar loop, on
-  every profile arm.
+  and the same solver with the numeric Jacobian swapped in, on every
+  profile arm, and the multi-target entry point is exactly the scalar
+  loop;
+- the IK stall exit only ever cuts a solve short: against the same solver
+  with the exit disabled, every solve it lets converge is bit-identical,
+  and every plan from the home and sleep postures to the lab decks'
+  named locations is unchanged.
 """
+
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.geometry.transforms import rotation_z, translation
 from repro.kinematics import ik
+from repro.kinematics.arm import ArmKinematics, UnreachableTargetError
 from repro.kinematics.dh import DHChain, DHLink
 from repro.kinematics.ik import (
     position_jacobian,
@@ -28,6 +36,10 @@ from repro.kinematics.ik import (
 )
 from repro.kinematics.profiles import N9, NED2, UR3E, UR5E, VIPERX_300
 from repro.kinematics.trajectory import plan_joint_trajectory
+from repro.lab.berlinguette import build_berlinguette_deck
+from repro.lab.hein import build_hein_deck
+from repro.devices.robot import RobotArmDevice
+from repro.testbed.deck import build_testbed_deck
 
 ALL_PROFILES = (UR3E, UR5E, VIPERX_300, NED2, N9)
 
@@ -159,20 +171,12 @@ class TestIKVerdictParity:
         batch = solve_position_ik_batch(
             chain, targets, q0=profile.home_q, joint_limits=profile.joint_limits
         )
-        assert len(batch) == len(targets)
-        for target, b in zip(targets, batch):
-            s = solve_position_ik(
+        assert batch == [
+            solve_position_ik(
                 chain, target, q0=profile.home_q, joint_limits=profile.joint_limits
             )
-            assert b.converged == s.converged
-            assert b.iterations == s.iterations
-            if b.converged:
-                assert np.allclose(b.q, s.q, atol=1e-9, rtol=0.0)
-            else:
-                # Non-converged iterate paths at the workspace boundary can
-                # amplify last-ulp differences; the residual, not the
-                # posture, is the contract.
-                assert b.error == pytest.approx(s.error, abs=1e-5)
+            for target in targets
+        ]
 
     def test_batch_solver_broadcast_and_per_target_seeds(self):
         chain = UR3E.chain()
@@ -190,6 +194,146 @@ class TestIKVerdictParity:
             solve_position_ik_batch(chain, np.zeros((3, 2)), q0=UR3E.home_q)
         with pytest.raises(ValueError, match="q0 must be"):
             solve_position_ik_batch(chain, np.zeros((3, 3)), q0=np.zeros((2, 6)))
+
+
+@contextmanager
+def _no_stall_exit():
+    """The solver without its stall exit (a window beyond any iteration
+    budget): the reference every stall-exit property is checked against."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ik, "_STALL_WINDOW", 10**9)
+        yield
+
+
+def _solve(arm, target, seed):
+    return solve_position_ik(
+        arm.chain, target, q0=seed, joint_limits=arm.profile.joint_limits,
+        tolerance=ArmKinematics.REACH_TOLERANCE,
+    )
+
+
+def _plan_verdict(arm, target):
+    """``(verdict, end posture, residual)`` of ``arm.plan_move(target)``."""
+    try:
+        plan = arm.plan_move(target)
+    except UnreachableTargetError as exc:
+        return "raised", None, exc.residual
+    verdict = "skipped" if plan.skipped else "plan"
+    return verdict, plan.trajectory.q_end, plan.residual
+
+
+unit_posture = st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6)
+ik_target = st.one_of(
+    st.tuples(st.just("fk"), unit_posture),
+    # Off-workspace: 1.2-3x the arm's reach from its base, any direction.
+    st.tuples(
+        st.just("far"),
+        st.tuples(
+            st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+                lambda v: np.linalg.norm(v) > 0.1
+            ),
+            st.floats(1.2, 3.0),
+        ),
+    ),
+)
+
+
+def _posture(profile, unit):
+    lo, hi = profile.limit_arrays()
+    return lo + (hi - lo) * np.asarray(unit[: profile.dof])
+
+
+def _target(profile, drawn):
+    kind, value = drawn
+    if kind == "fk":
+        return profile.chain().end_effector_position(_posture(profile, value))
+    direction, scale = value
+    direction = np.asarray(direction) / np.linalg.norm(direction)
+    return direction * profile.reach * scale
+
+
+class TestStallExit:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        profile=st.sampled_from(ALL_PROFILES),
+        posture=unit_posture,
+        drawn=ik_target,
+    )
+    def test_stall_exit_only_cuts_solves_short(self, profile, posture, drawn):
+        arm = ArmKinematics(profile)
+        arm.set_posture(_posture(profile, posture))
+        target = _target(profile, drawn)
+
+        for seed in arm._ik_seeds():
+            stalled = _solve(arm, target, seed)
+            with _no_stall_exit():
+                reference = _solve(arm, target, seed)
+            if stalled.converged:
+                assert stalled == reference  # bit-equal q, error, iterations
+            else:
+                assert stalled.error >= reference.error
+                assert stalled.iterations <= reference.iterations
+                if stalled.iterations < reference.iterations:
+                    assert stalled.iterations > ik._STALL_WINDOW
+
+        verdict, _, residual = _plan_verdict(arm, target)
+        with _no_stall_exit():
+            ref_verdict, _, ref_residual = _plan_verdict(arm, target)
+        if verdict == "plan":
+            assert ref_verdict == "plan"
+        else:
+            assert residual >= ref_residual
+            if ref_verdict != "plan":
+                assert verdict == ref_verdict
+
+    @pytest.mark.parametrize(
+        "build", (build_hein_deck, build_testbed_deck, build_berlinguette_deck),
+        ids=("hein", "testbed", "berlinguette"),
+    )
+    def test_deck_location_plans_unchanged(self, build):
+        world = build().world
+        arms = [d for d in world.devices() if isinstance(d, RobotArmDevice)]
+        planned = 0
+        for device in arms:
+            for location in world.locations:
+                try:
+                    target = location.coord_for(device.name)
+                except KeyError:
+                    continue
+                for start in (device.profile.home_q, device.profile.sleep_q):
+                    arm = ArmKinematics(device.profile, ik_seed=start)
+                    stalled = _plan_verdict(arm, target)
+                    with _no_stall_exit():
+                        reference = _plan_verdict(arm, target)
+                    assert stalled == reference, (device.name, location.name)
+                    planned += 1
+        assert planned
+
+    def test_known_cost_slow_convergers_are_cut(self):
+        # The exit trades rare slow convergers for speed.  This UR3e restart
+        # seed plateaus, then creeps out and converges after 44 iterations
+        # without the exit; with it, the seed is abandoned at iteration 20
+        # and plan_move moves on to its next seed.
+        arm = ArmKinematics(UR3E)
+        target = (-0.026071838705758132, 0.030779321206666606, -0.2209307177447246)
+        seed = arm._clamp(np.array([np.pi / 2, -0.4, 1.6, -np.pi / 2, 0.0, 0.0]))
+        stalled = _solve(arm, target, seed)
+        with _no_stall_exit():
+            reference = _solve(arm, target, seed)
+        assert (reference.converged, reference.iterations) == (True, 44)
+        assert (stalled.converged, stalled.iterations) == (False, 20)
+
+        # At the edge of reach, where only such a creeping seed gets under
+        # the 2 mm tolerance, the verdict itself changes: this Ned2 target
+        # is planned (1.97 mm residual) without the exit and refused with it.
+        arm = ArmKinematics(NED2, ik_seed=(
+            -0.7682555250588057, 1.4960202077790492, 1.5038563095954585,
+            1.8619479673767323, 1.1993153409489894, 0.6814849893302326,
+        ))
+        target = (-0.010439537163426785, 0.07612299346750626, 0.5072076595425619)
+        with _no_stall_exit():
+            assert _plan_verdict(arm, target)[0] == "plan"
+        assert _plan_verdict(arm, target)[0] == "raised"
 
 
 class TestTrajectoryArrays:
