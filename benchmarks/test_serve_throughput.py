@@ -13,8 +13,8 @@ I/O as a blocking ``time.sleep``.  Both sides run a warmup phase first
 so neither pays plan-cache/engine/rulebase cold costs inside the timed
 region.  The gate is aggregate guarded commands/sec at K=8 ≥ 3x the
 sequential rate, plus two structural assertions: sweeps actually
-coalesced across sessions (max batch ≥ 2) and nothing degraded (the
-queue never hit its high watermark at this load).
+coalesced across sessions (max batch ≥ 2) and the ``degraded`` sweep
+counter stayed 0.
 """
 
 import asyncio
@@ -143,12 +143,11 @@ def test_serve_throughput(emit, trend, benchmark):
             "sweep_batches": sweeps["batches"],
             "max_batch": sweeps["max_batch"],
             "degraded": sweeps["degraded"],
-            "throttled": sweeps["throttled"],
         },
     )
 
     # Structural checks first: the speedup only counts if sweeps really
-    # coalesced across sessions and nothing fell back to degraded probes.
+    # coalesced across sessions and no sweep was degraded.
     assert sweeps["max_batch"] >= 2, f"no cross-session batching: {sweeps}"
     assert sweeps["degraded"] == 0, f"degraded sweeps at benchmark load: {sweeps}"
     assert speedup >= MIN_SPEEDUP, (

@@ -13,10 +13,9 @@ users.  :mod:`repro.serve` is that front-end:
   :class:`~repro.core.rulebase.RuleBase` instance and therefore one
   memoized compiled dispatch snapshot.
 - :class:`~repro.serve.batcher.SweepBatcher` — collision sweeps from all
-  sessions drain through one bounded queue and execute as cross-session
-  batches on the stacked geometry kernels, with explicit backpressure
-  (queue full ⇒ admission throttling) and graceful degradation (over the
-  high-watermark ⇒ tool-point-only probes, flagged on the verdict).
+  sessions drain through one queue and execute as cross-session batches
+  on the stacked geometry kernels.  Every sweep is the full sweep,
+  whatever the load; overload is refused at session admission.
 - :class:`~repro.serve.client.ServeClient` — a thin asyncio client
   speaking newline-delimited canonical JSON, with
   :mod:`repro.serve.retry` resilience on connect.

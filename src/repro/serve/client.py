@@ -21,7 +21,12 @@ import asyncio
 from dataclasses import replace
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.serve.protocol import ProtocolError, encode_message, read_message
+from repro.serve.protocol import (
+    MAX_MESSAGE_BYTES,
+    ProtocolError,
+    encode_message,
+    read_message,
+)
 from repro.serve.retry import RetryPolicy, retrying
 
 __all__ = [
@@ -91,7 +96,7 @@ class ServeClient:
 
         @retrying(policy)
         async def connect() -> Tuple[asyncio.StreamReader, asyncio.StreamWriter]:
-            return await asyncio.open_unix_connection(path)
+            return await asyncio.open_unix_connection(path, limit=MAX_MESSAGE_BYTES)
 
         reader, writer = await connect()
         return cls(reader, writer)
@@ -107,7 +112,9 @@ class ServeClient:
 
         @retrying(policy)
         async def connect() -> Tuple[asyncio.StreamReader, asyncio.StreamWriter]:
-            return await asyncio.open_connection(host, port)
+            return await asyncio.open_connection(
+                host, port, limit=MAX_MESSAGE_BYTES
+            )
 
         reader, writer = await connect()
         return cls(reader, writer)
@@ -192,8 +199,8 @@ class ServeClient:
         """Guard one device command; returns the verdict dict.
 
         Unlike the in-process proxy, an alert does not raise — the
-        verdict comes back with ``ok: false``-style fields (``alert``,
-        ``degraded``) for the caller to inspect.
+        verdict comes back with ``ok: false`` and its ``alert`` for the
+        caller to inspect.
         """
         return await self.request(
             {

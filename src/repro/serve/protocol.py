@@ -16,6 +16,7 @@ memory.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Optional
 
 from repro.trace.canon import canonical_bytes
@@ -46,13 +47,27 @@ def encode_message(payload: Any) -> bytes:
     return data
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"number {text} is out of float range")
+    return value
+
+
+def _no_constant(name: str) -> Any:
+    raise ValueError(f"{name} is not a JSON number")
+
+
 async def read_message(reader: Any) -> Optional[dict]:
     """Read one frame; ``None`` on clean EOF, :class:`ProtocolError` on junk.
 
     *reader* is an :class:`asyncio.StreamReader` (or anything with an
-    async ``readline``).  A line that is not a JSON object, is not valid
-    JSON, or overruns the frame limit raises — the connection is then
-    unusable and should be closed.
+    async ``readline``) opened with ``limit=MAX_MESSAGE_BYTES``.  A line
+    that is not UTF-8, is not valid JSON, is not a JSON object, or
+    overruns the frame limit raises — the connection is then unusable
+    and should be closed.  Non-finite numbers (``NaN``, ``Infinity``,
+    ``1e999``) are not valid here: :func:`encode_message` cannot render
+    them, so nothing a request carries may contain one.
     """
     try:
         line = await reader.readline()
@@ -69,8 +84,12 @@ async def read_message(reader: Any) -> Optional[dict]:
             f"message of {len(line)} bytes exceeds the {MAX_MESSAGE_BYTES}-byte frame limit"
         )
     try:
-        payload = json.loads(line)
-    except json.JSONDecodeError as exc:
+        payload = json.loads(
+            line, parse_float=_finite_float, parse_constant=_no_constant
+        )
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and UnicodeDecodeError;
+        # RecursionError is nesting too deep to parse.
         raise ProtocolError(f"invalid JSON frame: {exc}") from exc
     if not isinstance(payload, dict):
         raise ProtocolError(

@@ -35,13 +35,20 @@ session's believed state may no longer match the device).
 from __future__ import annotations
 
 import asyncio
+import logging
 from typing import Any, Dict, List, Optional
 
+from repro.core.config import ConfigError
 from repro.core.monitor import RabitOptions
 from repro.core.rulebase import Rule, RuleBase, build_default_rulebase
 from repro.obs import OBS
 from repro.serve.batcher import SweepBatcher
-from repro.serve.protocol import ProtocolError, encode_message, read_message
+from repro.serve.protocol import (
+    MAX_MESSAGE_BYTES,
+    ProtocolError,
+    encode_message,
+    read_message,
+)
 from repro.serve.session import (
     DECK_BUILDERS,
     CommandFailed,
@@ -50,6 +57,8 @@ from repro.serve.session import (
 )
 
 __all__ = ["GuardServer", "SessionRejected", "TenantRulebases"]
+
+_LOG = logging.getLogger(__name__)
 
 
 class SessionRejected(ValueError):
@@ -74,10 +83,6 @@ _OBS_COMMANDS = OBS.registry.counter(
     "serve_commands_total",
     "Commands guarded by the service, by outcome.",
     labels=("outcome",),
-)
-_OBS_DEGRADED = OBS.registry.counter(
-    "serve_degraded_commands_total",
-    "Commands whose trajectory verdict came from the degraded path.",
 )
 _OBS_REJECTED = OBS.registry.counter(
     "serve_sessions_rejected_total",
@@ -124,9 +129,6 @@ class GuardServer:
     def __init__(
         self,
         max_sessions: int = 32,
-        queue_size: int = 64,
-        high_watermark: int = 48,
-        max_batch: int = 16,
         default_io_latency: float = 0.0,
         options: Optional[RabitOptions] = None,
     ) -> None:
@@ -135,9 +137,7 @@ class GuardServer:
         self.max_sessions = max_sessions
         self.default_io_latency = float(default_io_latency)
         self.options = options or default_serve_options()
-        self.batcher = SweepBatcher(
-            maxsize=queue_size, high_watermark=high_watermark, max_batch=max_batch
-        )
+        self.batcher = SweepBatcher()
         self.tenants = TenantRulebases()
         self.sessions: Dict[int, GuardSession] = {}
         self._next_session_id = 1
@@ -147,7 +147,6 @@ class GuardServer:
             "sessions_rejected": 0,
             "commands": 0,
             "alerts": 0,
-            "degraded_commands": 0,
             "protocol_errors": 0,
         }
 
@@ -156,12 +155,16 @@ class GuardServer:
     async def start_unix(self, path: str) -> None:
         """Listen on a unix socket at *path*."""
         self.batcher.start()
-        self._server = await asyncio.start_unix_server(self._handle_connection, path)
+        self._server = await asyncio.start_unix_server(
+            self._handle_connection, path, limit=MAX_MESSAGE_BYTES
+        )
 
     async def start_tcp(self, host: str, port: int) -> None:
         """Listen on TCP *host*:*port*."""
         self.batcher.start()
-        self._server = await asyncio.start_server(self._handle_connection, host, port)
+        self._server = await asyncio.start_server(
+            self._handle_connection, host, port, limit=MAX_MESSAGE_BYTES
+        )
 
     async def serve_forever(self) -> None:
         """Block serving connections until cancelled."""
@@ -196,7 +199,19 @@ class GuardServer:
                     break
                 if request is None:
                     break
-                response, session, keep_open = await self._dispatch(request, session)
+                try:
+                    response, session, keep_open = await self._dispatch(
+                        request, session
+                    )
+                except Exception as exc:
+                    # Whatever a request breaks, its sender gets one error
+                    # frame; the session's state is suspect, so it ends.
+                    _LOG.exception("request %r failed", request.get("op"))
+                    response = {
+                        "ok": False,
+                        "error": f"internal error: {type(exc).__name__}: {exc}",
+                    }
+                    keep_open = False
                 await self._send(writer, response)
                 if not keep_open:
                     break
@@ -212,7 +227,12 @@ class GuardServer:
                 pass
 
     async def _send(self, writer: asyncio.StreamWriter, payload: dict) -> None:
-        writer.write(encode_message(payload))
+        try:
+            frame = encode_message(payload)
+        except ProtocolError as exc:
+            # E.g. a journal past the frame limit: answer, don't crash.
+            frame = encode_message({"ok": False, "error": str(exc)})
+        writer.write(frame)
         await writer.drain()
 
     async def _dispatch(
@@ -231,7 +251,9 @@ class GuardServer:
                 )
             try:
                 session = self._open_session(request)
-            except (KeyError, ValueError, TypeError) as exc:
+            except (
+                KeyError, ValueError, TypeError, OverflowError, ConfigError
+            ) as exc:
                 self.stats["sessions_rejected"] += 1
                 if OBS.enabled:
                     _OBS_REJECTED.inc(1)
@@ -248,12 +270,20 @@ class GuardServer:
         if op == "command":
             if session is None:
                 return {"ok": False, "error": "no session open (send op=open first)"}, None, True
+            args = request.get("args", [])
+            kwargs = request.get("kwargs", {})
+            if not isinstance(args, list) or not isinstance(kwargs, dict):
+                return (
+                    {"ok": False, "error": "args must be an array, kwargs an object"},
+                    session,
+                    True,
+                )
             try:
                 response = await session.run_command(
                     str(request.get("device", "")),
                     str(request.get("method", "")),
-                    tuple(request.get("args", ())),
-                    dict(request.get("kwargs", {})),
+                    tuple(args),
+                    kwargs,
                 )
             except KeyError as exc:
                 return {"ok": False, "error": str(exc.args[0])}, session, True
@@ -262,10 +292,6 @@ class GuardServer:
             self.stats["commands"] += 1
             if response.get("alert") is not None:
                 self.stats["alerts"] += 1
-            if response.get("degraded"):
-                self.stats["degraded_commands"] += 1
-                if OBS.enabled:
-                    _OBS_DEGRADED.inc(1)
             if OBS.enabled:
                 _OBS_COMMANDS.inc(
                     1, outcome="alert" if response.get("alert") else "allowed"

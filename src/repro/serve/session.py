@@ -21,8 +21,7 @@ win comes from.
 The deck executes *inside the service* here; a production deployment
 would swap :meth:`_execute` for the remote lab driver's awaitable.  The
 session journals every guarded command via
-:mod:`repro.serve.journal`, byte-identical to the in-process path when
-no degradation occurred.
+:mod:`repro.serve.journal`, byte-identical to the in-process path.
 """
 
 from __future__ import annotations
@@ -213,8 +212,6 @@ class GuardSession:
             "experiment",
         )
 
-        degraded = False
-
         async def execute() -> Any:
             # The stand-in for the physical lab's round-trip: real
             # wall-clock the event loop overlaps across sessions.
@@ -227,17 +224,14 @@ class GuardSession:
             checker = rabit.trajectory_checker
 
             async def trajectory(call: ActionCall) -> Optional[str]:
-                nonlocal degraded
                 job = checker.prepare_sweep(
                     call, rabit.state, rabit.model, self.options.account_held_objects
                 )
                 if job is None:
                     return None
-                problem, was_degraded = await self.batcher.submit(
+                return await self.batcher.submit(
                     job, self.geom_key(job.frame, job.exclude)
                 )
-                degraded = was_degraded
-                return problem
 
         cache = rabit.rule_cache
         hits_before = cache.hits if cache is not None else 0
@@ -264,7 +258,6 @@ class GuardSession:
             t=rabit.clock.now,
             alert=alert,
             rule_cache=cache_disposition(rabit, hits_before, misses_before),
-            degraded=degraded,
         )
         self.journal.append(entry)
         return {
@@ -275,7 +268,6 @@ class GuardSession:
             "label": entry["label"],
             "alert": entry["alert"],
             "rule_cache": entry["rule_cache"],
-            "degraded": degraded,
         }
 
 

@@ -23,7 +23,12 @@ from __future__ import annotations
 import asyncio
 from typing import Any, Dict, Optional, Tuple
 
-from repro.serve.protocol import ProtocolError, encode_message, read_message
+from repro.serve.protocol import (
+    MAX_MESSAGE_BYTES,
+    ProtocolError,
+    encode_message,
+    read_message,
+)
 from repro.serve.shard.routing import shard_for
 
 __all__ = ["ShardRouter"]
@@ -52,10 +57,14 @@ class ShardRouter:
     # -- lifecycle ---------------------------------------------------------
 
     async def start_unix(self, path: str) -> None:
-        self._server = await asyncio.start_unix_server(self._handle, path)
+        self._server = await asyncio.start_unix_server(
+            self._handle, path, limit=MAX_MESSAGE_BYTES
+        )
 
     async def start_tcp(self, host: str, port: int) -> int:
-        self._server = await asyncio.start_server(self._handle, host, port)
+        self._server = await asyncio.start_server(
+            self._handle, host, port, limit=MAX_MESSAGE_BYTES
+        )
         return self._server.sockets[0].getsockname()[1]
 
     async def stop(self) -> None:

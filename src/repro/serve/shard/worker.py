@@ -5,7 +5,7 @@ event loop, its own :class:`~repro.serve.batcher.SweepBatcher`, its own
 tenant rulebase cache — listening on a private unix socket the router
 proxies sessions into.  Because a worker *is* the single-process
 service, every per-session guarantee (journal byte-identity to the
-in-process path, flagged degradation, backpressure) holds per shard by
+in-process path, full sweeps under any load) holds per shard by
 construction; sharding adds capacity without touching verdict semantics.
 
 On top of the session protocol, a worker answers three **control ops**

@@ -1,12 +1,8 @@
-"""The SweepBatcher's watermark boundary, pinned exactly.
+"""The SweepBatcher's coalescing bound and its knob-free constructor.
 
-Degradation is the service's most delicate trade — a tool-point-only
-probe is *weaker* than a full sweep — so the flip must happen at
-precisely the advertised point: queue depth ``== high_watermark``
-degrades, depth ``== high_watermark - 1`` does not, and a drained queue
-recovers to full sweeps immediately.  An off-by-one here either degrades
-a service that still had headroom or (worse) runs full-queue inline
-probes one slot later than the operator configured.
+Every job the batcher takes gets the full sweep; the only thing load
+changes is how many jobs share one stacked pass, and that is capped by
+the module constant :data:`~repro.serve.batcher.MAX_BATCH`.
 """
 
 import asyncio
@@ -14,7 +10,7 @@ import asyncio
 import pytest
 
 from repro.core.interceptor import resolve_action
-from repro.serve.batcher import SweepBatcher
+from repro.serve.batcher import MAX_BATCH, SweepBatcher
 from repro.serve.session import build_guarded_deck, default_serve_options
 
 
@@ -33,83 +29,30 @@ def _prefill(batcher, job, count):
     futures = []
     for _ in range(count):
         future = asyncio.get_running_loop().create_future()
-        batcher._queue.put_nowait((job, ("boundary", job.frame, job.exclude), future))
+        batcher._queue.put_nowait((job, ("coalesce", job.frame, job.exclude), future))
         futures.append(future)
     return futures
 
 
-def test_depth_below_watermark_stays_full_fidelity():
+def test_queued_jobs_coalesce_up_to_max_batch():
     async def scenario():
-        batcher = SweepBatcher(maxsize=16, high_watermark=3, max_batch=16)
+        batcher = SweepBatcher()
         job = _sweep_job()
-        parked = _prefill(batcher, job, 2)  # depth == high_watermark - 1
-
-        # submit() reads the depth synchronously before enqueueing, so
-        # letting it run one step *before* the drainer starts pins the
-        # decision at exactly depth 2.
-        task = asyncio.get_running_loop().create_task(
-            batcher.submit(job, ("boundary", job.frame, job.exclude))
-        )
-        await asyncio.sleep(0)
-        assert batcher.queue_depth == 3  # enqueued, not answered inline
+        parked = _prefill(batcher, job, MAX_BATCH + 3)
+        assert batcher.queue_depth == MAX_BATCH + 3
 
         batcher.start()
-        problem, degraded = await task
-        assert degraded is False
-        assert problem is None
-        await asyncio.gather(*parked)
-        assert batcher.stats["degraded"] == 0
-        assert batcher.stats["batched"] == 3
-        await batcher.stop()
-
-    asyncio.run(scenario())
-
-
-def test_depth_at_watermark_degrades_inline():
-    async def scenario():
-        batcher = SweepBatcher(maxsize=16, high_watermark=3, max_batch=16)
-        job = _sweep_job()
-        _prefill(batcher, job, 3)  # depth == high_watermark exactly
-
-        problem, degraded = await batcher.submit(
-            job, ("boundary", job.frame, job.exclude)
-        )
-        assert degraded is True
-        assert problem is None  # this motion is clear either way
-        assert batcher.stats["degraded"] == 1
-        assert batcher.queue_depth == 3, "degraded probes never touch the queue"
-        await batcher.stop()
-
-    asyncio.run(scenario())
-
-
-def test_recovery_after_drain_is_immediate():
-    async def scenario():
-        batcher = SweepBatcher(maxsize=16, high_watermark=3, max_batch=16)
-        job = _sweep_job()
-        parked = _prefill(batcher, job, 3)
-
-        # At the watermark: degraded.
-        _, degraded = await batcher.submit(job, ("boundary", job.frame, job.exclude))
-        assert degraded is True
-
-        # Drain, then the very next submit is a full sweep again — the
-        # watermark gates on live depth, not on sticky mode.
-        batcher.start()
-        await asyncio.gather(*parked)
+        assert await asyncio.gather(*parked) == [None] * (MAX_BATCH + 3)
         assert batcher.queue_depth == 0
-        _, degraded = await batcher.submit(job, ("boundary", job.frame, job.exclude))
-        assert degraded is False
-        assert batcher.stats["degraded"] == 1
+        assert batcher.stats["batches"] == 2
+        assert batcher.stats["batched"] == MAX_BATCH + 3
+        assert batcher.stats["max_batch"] == MAX_BATCH
         await batcher.stop()
 
     asyncio.run(scenario())
 
 
-def test_watermark_validation_still_brackets_queue():
-    with pytest.raises(ValueError):
-        SweepBatcher(maxsize=8, high_watermark=0)
-    with pytest.raises(ValueError):
-        SweepBatcher(maxsize=8, high_watermark=9)
-    # watermark == maxsize is legal: degrade only when completely full.
-    assert SweepBatcher(maxsize=8, high_watermark=8).high_watermark == 8
+@pytest.mark.parametrize("knob", ["maxsize", "high_watermark", "max_batch"])
+def test_batcher_takes_no_queue_knobs(knob):
+    with pytest.raises(TypeError):
+        SweepBatcher(**{knob: 8})

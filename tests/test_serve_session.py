@@ -23,8 +23,10 @@ from repro.serve.client import (
     ServeError,
     ServeUnavailableError,
 )
-from repro.serve.protocol import read_message
+from repro.serve.journal import run_inprocess_journal
+from repro.serve.protocol import MAX_MESSAGE_BYTES, read_message
 from repro.serve.server import GuardServer
+from repro.trace.canon import canonical_bytes
 
 
 def serve_test(coro_fn, **server_kwargs):
@@ -306,5 +308,105 @@ def test_server_snapshot_reports_batcher_stats():
         assert stats["sweeps"]["submitted"] >= 1
         assert stats["sweeps"]["degraded"] == 0
         await client.close()
+
+    serve_test(scenario)
+
+
+# -- frame limits and malformed requests --------------------------------------
+
+
+def test_journal_past_default_stream_limit_round_trips():
+    # 800 entries are ~130 KB on the wire: past asyncio's 64 KiB default
+    # stream limit, inside the protocol's 1 MiB frame limit.
+    script = [{"device": "ur3e", "method": "go_to_home_pose"}] * 800
+
+    async def scenario(server, path):
+        client = await open_client(path, deck="hein_lean")
+        for command in script:
+            await client.command(command["device"], command["method"])
+        journal = await client.journal()
+        await client.close()
+        return journal
+
+    journal = serve_test(scenario)
+    assert len(canonical_bytes(journal)) > 1 << 16
+    assert canonical_bytes(journal) == canonical_bytes(
+        run_inprocess_journal("hein_lean", script)
+    )
+
+
+def test_response_over_frame_limit_answers_error_frame():
+    async def scenario(server, path):
+        client = await open_client(path, deck="hein_lean")
+        await client.command("ur3e", "go_to_home_pose")
+        session = server.sessions[client.session_id]
+        session.journal = session.journal * (MAX_MESSAGE_BYTES // 100)
+        with pytest.raises(ServeError, match="frame limit"):
+            await client.journal()
+        await client.ping()  # the connection and session survive
+        assert (await client.command("ur3e", "go_to_home_pose"))["ok"]
+        await client.close()
+
+    serve_test(scenario)
+
+
+def test_non_utf8_frame_gets_error_frame_then_close():
+    async def scenario(server, path):
+        reader, writer = await asyncio.open_unix_connection(path)
+        writer.write(b'{"op":"ping","x":"\xc3\x28"}\n')
+        await writer.drain()
+        response = await read_message(reader)
+        assert response["ok"] is False and "invalid JSON frame" in response["error"]
+        assert await reader.read() == b""
+        writer.close()
+        assert server.stats["protocol_errors"] == 1
+
+    serve_test(scenario)
+
+
+@pytest.mark.parametrize(
+    "fields", [{"args": 5}, {"kwargs": [1]}, {"args": None}, {"kwargs": "x"}]
+)
+def test_wrong_typed_command_arguments_keep_session_open(fields):
+    async def scenario(server, path):
+        client = await open_client(path, deck="hein_lean")
+        request = {"op": "command", "device": "ur3e", "method": "go_to_home_pose"}
+        with pytest.raises(ServeError, match="args must be an array"):
+            await client.request({**request, **fields})
+        assert (await client.command("ur3e", "go_to_home_pose"))["ok"]
+        assert server.stats["commands"] == 1
+        await client.close()
+
+    serve_test(scenario)
+
+
+def test_open_on_an_invalid_deck_config_is_refused_not_fatal():
+    async def scenario(server, path):
+        client = await ServeClient.open_unix(path)
+        with pytest.raises(ServeError, match="invalid RABIT configuration"):
+            await client.open_session(deck="hein_lean", params={"vials": [1]})
+        await client.open_session(deck="hein_lean")
+        assert server.stats["sessions_rejected"] == 1
+        await client.close()
+
+    serve_test(scenario)
+
+
+@pytest.mark.parametrize("number", [b"NaN", b"Infinity", b"-Infinity", b"1e999"])
+def test_non_finite_numbers_get_error_frame_then_close(number):
+    # Accepted, a NaN argument would reach a pass-through vial method whose
+    # NaN result has no JSON form, so no answer could be sent.
+    async def scenario(server, path):
+        client = await open_client(path, deck="hein_lean")
+        await client.command("vial_1", "decap_vial")
+        client._writer.write(
+            b'{"args":[' + number + b'],"device":"vial_1",'
+            b'"method":"add_liquid","op":"command"}\n'
+        )
+        await client._writer.drain()
+        response = await read_message(client._reader)
+        assert response["ok"] is False and "invalid JSON frame" in response["error"]
+        assert await client._reader.read() == b""
+        assert server.stats["protocol_errors"] == 1
 
     serve_test(scenario)

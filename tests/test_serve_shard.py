@@ -11,6 +11,7 @@ surfacing as the retry-eligible client error, and the ``/metrics`` +
 """
 
 import asyncio
+import json
 import os
 import signal
 
@@ -213,6 +214,19 @@ def test_worker_pin_out_of_range_is_refused():
             with pytest.raises(Exception, match="out of range"):
                 await client.open_session(deck="hein_lean", worker=7)
             await client.close()
+
+            # A pin past float range is a malformed frame: one error frame,
+            # then the router hangs up.
+            reader, writer = await asyncio.open_connection(
+                service.config.host, service.config.port
+            )
+            writer.write(b'{"op":"open","deck":"hein_lean","worker":1e999}\n')
+            await writer.drain()
+            refusal = json.loads(await reader.readline())
+            assert refusal["ok"] is False and "float range" in refusal["error"]
+            assert await reader.read() == b""
+            writer.close()
+            assert service.router.stats["protocol_errors"] == 1
         finally:
             await service.stop()
 
